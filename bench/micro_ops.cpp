@@ -3,17 +3,16 @@
 // Part of the wcs project, a reproduction of "Warping Cache Simulation of
 // Polyhedral Programs" (PLDI 2022).
 //
-// google-benchmark microbenchmarks of the hot components: concrete cache
-// accesses per policy, symbolic (tagged) accesses, warp state-key
+// google-benchmark microbenchmarks of the hot components: concrete and
+// symbolic (tagged) hierarchy accesses per policy, warp state-key
 // hashing, Fourier-Motzkin minimization, and stack-distance updates.
 // These quantify the constant factors behind the figure harnesses.
 //
 //===----------------------------------------------------------------------===//
 
-#include "wcs/cache/ConcreteCache.h"
+#include "wcs/cache/CacheHierarchy.h"
 #include "wcs/poly/FourierMotzkin.h"
 #include "wcs/polybench/Polybench.h"
-#include "wcs/sim/SymbolicCache.h"
 #include "wcs/sim/WarpEngine.h"
 #include "wcs/trace/StackDistance.h"
 
@@ -46,40 +45,43 @@ std::vector<BlockId> streamTrace(size_t N) {
   return T;
 }
 
+/// Registers one run per replacement policy (the benchmark argument).
+void allPolicies(benchmark::internal::Benchmark *B) {
+  for (PolicyKind K : {PolicyKind::Lru, PolicyKind::Fifo, PolicyKind::Plru,
+                       PolicyKind::QuadAgeLru})
+    B->Arg(static_cast<int>(K));
+}
+
+// The concrete and the symbolic step run the same single-level
+// hierarchy over the same trace, so they differ only in the tag write.
+
 void BM_ConcreteAccess(benchmark::State &State) {
   PolicyKind K = static_cast<PolicyKind>(State.range(0));
-  ConcreteCache C(microCache(K));
+  ConcreteHierarchy C(HierarchyConfig::singleLevel(microCache(K)));
   std::vector<BlockId> T = streamTrace(4096);
   size_t I = 0;
   for (auto _ : State) {
-    benchmark::DoNotOptimize(C.access(T[I], true).Hit);
+    benchmark::DoNotOptimize(C.access(T[I], false).L1Hit);
     I = (I + 1) & 4095;
   }
   State.SetItemsProcessed(State.iterations());
 }
-BENCHMARK(BM_ConcreteAccess)
-    ->Arg(static_cast<int>(PolicyKind::Lru))
-    ->Arg(static_cast<int>(PolicyKind::Fifo))
-    ->Arg(static_cast<int>(PolicyKind::Plru))
-    ->Arg(static_cast<int>(PolicyKind::QuadAgeLru));
+BENCHMARK(BM_ConcreteAccess)->Apply(allPolicies);
 
 void BM_SymbolicAccess(benchmark::State &State) {
-  HierarchyConfig H = HierarchyConfig::twoLevel(
-      microCache(PolicyKind::Plru),
-      CacheConfig{32 * 1024, 16, 64, PolicyKind::QuadAgeLru,
-                  WriteAllocate::Yes});
-  SymbolicHierarchy C(H);
+  PolicyKind K = static_cast<PolicyKind>(State.range(0));
+  SymbolicHierarchy C(HierarchyConfig::singleLevel(microCache(K)));
   std::vector<BlockId> T = streamTrace(4096);
   IterVec Iter{0, 0};
   size_t I = 0;
   for (auto _ : State) {
     Iter[1] = static_cast<int64_t>(I);
-    benchmark::DoNotOptimize(C.access(T[I], false, 3, Iter).L1Hit);
+    benchmark::DoNotOptimize(C.access(T[I], false, {3, Iter}).L1Hit);
     I = (I + 1) & 4095;
   }
   State.SetItemsProcessed(State.iterations());
 }
-BENCHMARK(BM_SymbolicAccess);
+BENCHMARK(BM_SymbolicAccess)->Apply(allPolicies);
 
 void BM_StateKey(benchmark::State &State) {
   std::string Err;
@@ -91,9 +93,10 @@ void BM_StateKey(benchmark::State &State) {
   WarpEngine Eng(P, H, O);
   // Populate the cache with tagged lines.
   const AccessNode *A = P.accesses()[0];
-  for (int64_t I = 0; I < 4096; ++I)
-    C.access(A->Address.eval(IterVec{0, 1 + I % 40, 1 + I % 40}) >> 6,
-             false, A->Id, IterVec{0, 1 + I % 40, 1 + I % 40});
+  for (int64_t I = 0; I < 4096; ++I) {
+    IterVec Iter{0, 1 + I % 40, 1 + I % 40};
+    C.access(A->Address.eval(Iter) >> 6, false, {A->Id, Iter});
+  }
   WarpScope S;
   S.Loop = P.loops()[1]; // The i-loop.
   S.Prefix = IterVec{0};

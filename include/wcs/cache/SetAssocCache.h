@@ -6,9 +6,10 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// A set-associative cache over an arbitrary line payload, shared by the
-/// concrete simulator (payload: block + dirty bit) and the symbolic warping
-/// simulator (payload: block + symbolic tag).
+/// A set-associative cache over an arbitrary line payload: one level of
+/// a CacheHierarchy (wcs/cache/CacheHierarchy.h), shared by the concrete
+/// simulators (payload: block + dirty bit) and the symbolic warping
+/// simulator (payload: block + dirty bit + symbolic tag).
 ///
 /// The hot-loop layout is struct-of-arrays: one cache-line-aligned BlockId
 /// array (what the per-access scan reads), one dirty bitset, and the policy
@@ -55,12 +56,17 @@ inline constexpr BlockId kInvalidBlock = -1;
 /// (Block, Dirty) -- e.g. ConcreteLine -- and stores no tag array at all.
 /// Payload types with extra state (the symbolic line's node id and
 /// iteration vector) specialize this with HasTag = true and a Tag struct
-/// holding exactly that extra state.
+/// holding exactly that extra state, plus the hooks a hierarchy uses to
+/// write it: a TagSource (what an access stamps on the lines it
+/// touches), sourceOf (a line's own tag as a source, to migrate it) and
+/// writeTag. For untagged payloads the hooks are empty no-ops.
 template <typename LineT>
 struct CacheLineTraits {
   static constexpr bool HasTag = false;
   struct Tag {};
-  static void packTag(Tag &, const LineT &) {}
+  struct TagSource {};
+  static TagSource sourceOf(const LineT &) { return {}; }
+  static void writeTag(Tag &, const TagSource &) {}
   static void unpackTag(LineT &, const Tag &) {}
 };
 
@@ -335,18 +341,6 @@ public:
         static_cast<uint64_t>(Base + floorMod(-Amount, Sets)) & SetMask);
     MraSet = static_cast<unsigned>(
         static_cast<uint64_t>(MraSet + floorMod(Amount, Sets)) & SetMask);
-  }
-
-  /// Resets to the empty cache.
-  void reset() {
-    std::fill(Blocks.begin(), Blocks.end(), kInvalidBlock);
-    std::fill(DirtyBits.begin(), DirtyBits.end(), 0ull);
-    std::fill(PlruBits.begin(), PlruBits.end(), 0u);
-    std::fill(Ages.begin(), Ages.end(), QlruOps::EvictAge);
-    if constexpr (Traits::HasTag)
-      std::fill(Tags.begin(), Tags.end(), TagT());
-    Base = 0;
-    MraSet = 0;
   }
 
 private:

@@ -14,6 +14,8 @@
 #ifndef WCS_SIM_SIMSTATS_H
 #define WCS_SIM_SIMSTATS_H
 
+#include "wcs/cache/CacheHierarchy.h"
+
 #include <cstdint>
 #include <string>
 
@@ -47,6 +49,27 @@ struct SimStats {
 
   /// Wall-clock seconds spent inside the simulation loop.
   double Seconds = 0.0;
+
+  /// Counts one explicitly simulated access from its hierarchy outcome.
+  void countAccess(const HierarchyOutcome &O) {
+    ++SimulatedAccesses;
+    ++Level[0].Accesses;
+    if (!O.L1Hit)
+      ++Level[0].Misses;
+    if (O.L2Accessed) {
+      ++Level[1].Accesses;
+      if (!O.L2Hit)
+        ++Level[1].Misses;
+    }
+  }
+  /// Adds the counter deltas of explicitly simulated batched accesses.
+  void addBatch(const BatchCounters &C) {
+    SimulatedAccesses += C.L1Accesses;
+    Level[0].Accesses += C.L1Accesses;
+    Level[0].Misses += C.L1Misses;
+    Level[1].Accesses += C.L2Accesses;
+    Level[1].Misses += C.L2Misses;
+  }
 
   uint64_t totalAccesses() const { return Level[0].Accesses; }
   /// Share of accesses that had to be simulated explicitly (Fig. 6 top).

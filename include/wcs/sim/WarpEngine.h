@@ -33,9 +33,9 @@
 #ifndef WCS_SIM_WARPENGINE_H
 #define WCS_SIM_WARPENGINE_H
 
+#include "wcs/cache/CacheHierarchy.h"
 #include "wcs/scop/Program.h"
 #include "wcs/sim/SimConfig.h"
-#include "wcs/sim/SymbolicCache.h"
 
 #include <cstdint>
 #include <unordered_map>

@@ -28,10 +28,10 @@
 #ifndef WCS_SIM_WARPINGSIMULATOR_H
 #define WCS_SIM_WARPINGSIMULATOR_H
 
+#include "wcs/cache/CacheHierarchy.h"
 #include "wcs/scop/Program.h"
 #include "wcs/sim/SimConfig.h"
 #include "wcs/sim/SimStats.h"
-#include "wcs/sim/SymbolicCache.h"
 #include "wcs/sim/WarpEngine.h"
 
 #include <memory>
@@ -66,9 +66,6 @@ public:
   /// Hit counts by L1 stack depth (size = L1 associativity); valid
   /// after a run() with enableDepthProfile().
   const std::vector<uint64_t> &depthHist() const { return DepthHist; }
-
-  /// The symbolic hierarchy state after run().
-  const SymbolicHierarchy &hierarchy() const { return Cache; }
 
   ~WarpingSimulator();
 

@@ -18,7 +18,7 @@
 #ifndef WCS_TRACE_TRACESIMULATOR_H
 #define WCS_TRACE_TRACESIMULATOR_H
 
-#include "wcs/cache/ConcreteCache.h"
+#include "wcs/cache/CacheHierarchy.h"
 #include "wcs/sim/SimStats.h"
 #include "wcs/trace/TraceGenerator.h"
 

@@ -1,48 +1,76 @@
-//===- cache/ConcreteCache.cpp --------------------------------------------===//
+//===- cache/CacheHierarchy.cpp -------------------------------------------===//
 //
 // Part of the wcs project, a reproduction of "Warping Cache Simulation of
 // Polyhedral Programs" (PLDI 2022).
 //
 //===----------------------------------------------------------------------===//
 
-#include "wcs/cache/ConcreteCache.h"
+#include "wcs/cache/CacheHierarchy.h"
 
-#include <cassert>
+#include <stdexcept>
 
 using namespace wcs;
 
-ConcreteHierarchy::ConcreteHierarchy(const HierarchyConfig &Config,
-                                     bool PropagateWritebacks)
-    : Cfg(Config), Writebacks(PropagateWritebacks) {
-  assert(Config.validate().empty() && "invalid hierarchy configuration");
+namespace {
+
+/// Marks the line an access hit or filled at (O.Set, O.Way): its tag
+/// comes from \p Src, and \p Dirty ORs into its dirty bit.
+template <typename LineT>
+void touch(SetAssocCache<LineT> &C, const AccessOutcome &O, bool Dirty,
+           const typename CacheLineTraits<LineT>::TagSource &Src) {
+  if constexpr (CacheLineTraits<LineT>::HasTag)
+    CacheLineTraits<LineT>::writeTag(C.tagAt(O.Set, O.Way), Src);
+  C.orDirtyAt(O.Set, O.Way, Dirty);
+}
+
+} // namespace
+
+template <typename LineT>
+CacheHierarchy<LineT>::CacheHierarchy(const HierarchyConfig &Config)
+    : Inclusion(Config.Inclusion) {
+  if (std::string E = Config.validate(); !E.empty())
+    throw std::invalid_argument("invalid hierarchy configuration: " + E);
   for (const CacheConfig &C : Config.Levels)
     Levels.emplace_back(C);
 }
 
-HierarchyOutcome ConcreteHierarchy::access(BlockId B, bool IsWrite) {
+template <typename LineT>
+CacheHierarchy<LineT>::CacheHierarchy(const HierarchyConfig &Config,
+                                      bool PropagateWritebacks)
+  requires(!Traits::HasTag)
+    : CacheHierarchy(Config) {
+  Writebacks = PropagateWritebacks;
+}
+
+template <typename LineT>
+HierarchyOutcome CacheHierarchy<LineT>::access(BlockId B, bool IsWrite,
+                                               const TagSource &Src) {
   HierarchyOutcome R;
-  ConcreteCache &L1 = Levels.front();
+  LevelCache &L1 = Levels.front();
   bool Alloc1 = !(IsWrite && L1.config().WriteAlloc == WriteAllocate::No);
   AccessOutcome O1 = L1.access(B, Alloc1);
   R.L1Hit = O1.Hit;
+  R.L1HitDepth = O1.HitDepth;
   if (O1.Hit || O1.Inserted)
-    L1.orDirtyAt(O1.Set, O1.Way, IsWrite);
+    touch(L1, O1, IsWrite, Src);
 
   if (O1.Hit || Levels.size() < 2)
     return R;
-  lowerLevels(B, IsWrite, Alloc1, O1, R);
+  lowerLevels(B, IsWrite, Alloc1, O1, Src, R);
   return R;
 }
 
-void ConcreteHierarchy::lowerLevels(BlockId B, bool IsWrite, bool Alloc1,
-                                    const AccessOutcome &O1,
-                                    HierarchyOutcome &R) {
-  ConcreteCache &L1 = Levels.front();
-  ConcreteCache &L2 = Levels[1];
+template <typename LineT>
+void CacheHierarchy<LineT>::lowerLevels(BlockId B, bool IsWrite, bool Alloc1,
+                                        const AccessOutcome &O1,
+                                        const TagSource &Src,
+                                        HierarchyOutcome &R) {
+  LevelCache &L1 = Levels.front();
+  LevelCache &L2 = Levels[1];
   bool Alloc2 = !(IsWrite && L2.config().WriteAlloc == WriteAllocate::No);
   R.L2Accessed = true;
 
-  switch (Cfg.Inclusion) {
+  switch (Inclusion) {
   case InclusionPolicy::NonInclusiveNonExclusive:
   case InclusionPolicy::Inclusive: {
     // The L2 sees the same block (paper Eq. (24)); inclusively, an L2
@@ -50,21 +78,23 @@ void ConcreteHierarchy::lowerLevels(BlockId B, bool IsWrite, bool Alloc1,
     AccessOutcome O2 = L2.access(B, Alloc2);
     R.L2Hit = O2.Hit;
     if (O2.Hit || O2.Inserted)
-      L2.orDirtyAt(O2.Set, O2.Way, IsWrite);
-    if (Cfg.Inclusion == InclusionPolicy::Inclusive && O2.Inserted &&
+      touch(L2, O2, IsWrite, Src);
+    if (Inclusion == InclusionPolicy::Inclusive && O2.Inserted &&
         O2.EvictedValid && L1.invalidate(O2.EvictedBlock))
       ++R.BackInvalidations;
     // Optional richer model: a dirty L1 victim is written back to the L2.
-    if (Writebacks && O1.Inserted && O1.EvictedDirty) {
-      AccessOutcome WB = L2.access(O1.EvictedBlock, /*Allocate=*/true);
-      if (WB.Hit || WB.Inserted)
-        L2.setDirtyAt(WB.Set, WB.Way, true);
-      if (Cfg.Inclusion == InclusionPolicy::Inclusive && WB.Inserted &&
-          WB.EvictedValid && L1.invalidate(WB.EvictedBlock))
-        ++R.BackInvalidations;
-      ++R.L2Writebacks;
-      if (!WB.Hit)
-        ++R.L2WritebackMisses;
+    if constexpr (!Traits::HasTag) {
+      if (Writebacks && O1.Inserted && O1.EvictedDirty) {
+        AccessOutcome WB = L2.access(O1.EvictedBlock, /*Allocate=*/true);
+        if (WB.Hit || WB.Inserted)
+          L2.setDirtyAt(WB.Set, WB.Way, true);
+        if (Inclusion == InclusionPolicy::Inclusive && WB.Inserted &&
+            WB.EvictedValid && L1.invalidate(WB.EvictedBlock))
+          ++R.BackInvalidations;
+        ++R.L2Writebacks;
+        if (!WB.Hit)
+          ++R.L2WritebackMisses;
+      }
     }
     break;
   }
@@ -75,28 +105,32 @@ void ConcreteHierarchy::lowerLevels(BlockId B, bool IsWrite, bool Alloc1,
       break;
     }
     // Promotion: the block leaves the L2 (if present) and lives in the
-    // L1 only; the L1 victim becomes an L2 resident.
-    std::optional<ConcreteLine> InL2 = L2.invalidate(B);
+    // L1 only, in the slot just filled and tagged by this access; the
+    // L1 victim becomes an L2 resident *keeping its own tag*, so the
+    // warping bijection checks keep seeing its installing access
+    // instance. A fresh L2 line starts clean, so OR-ing the victim's
+    // dirty bit sets it exactly.
+    std::optional<LineT> InL2 = L2.invalidate(B);
     R.L2Hit = InL2.has_value();
     if (InL2)
       L1.orDirtyAt(O1.Set, O1.Way, InL2->Dirty);
     if (O1.Inserted && O1.EvictedValid) {
+      const LineT &Victim = L1.lastEvicted();
       AccessOutcome OV = L2.access(O1.EvictedBlock, /*Allocate=*/true);
-      if (OV.Inserted)
-        L2.setDirtyAt(OV.Set, OV.Way, O1.EvictedDirty);
-      else if (OV.Hit)
-        L2.orDirtyAt(OV.Set, OV.Way, O1.EvictedDirty);
+      if (OV.Hit || OV.Inserted)
+        touch(L2, OV, Victim.Dirty, Traits::sourceOf(Victim));
     }
     break;
   }
   }
 }
 
+template <typename LineT>
 template <PolicyKind P, unsigned CtAssoc>
-void ConcreteHierarchy::accessBatchImpl(const BatchedAccess *Ops, size_t N,
-                                        BatchCounters &C,
-                                        const L1MissSink *Sink) {
-  ConcreteCache &L1 = Levels.front();
+void CacheHierarchy<LineT>::accessBatchImpl(const BatchedAccess *Ops, size_t N,
+                                            BatchCounters &C,
+                                            const L1MissSink *Sink) {
+  LevelCache &L1 = Levels.front();
   const bool NoWriteAlloc = L1.config().WriteAlloc == WriteAllocate::No;
   const bool TwoLevel = Levels.size() >= 2;
   C.L1Accesses += N;
@@ -118,7 +152,7 @@ void ConcreteHierarchy::accessBatchImpl(const BatchedAccess *Ops, size_t N,
       continue;
     }
     bool Alloc1 = !(IsWrite && NoWriteAlloc);
-    AccessOutcome O1 = L1.accessAsNoMra<P, CtAssoc>(B, Alloc1);
+    AccessOutcome O1 = L1.template accessAsNoMra<P, CtAssoc>(B, Alloc1);
     bool Resident = P == PolicyKind::QuadAgeLru ? O1.Hit
                                                 : O1.Hit || O1.Inserted;
     LastB = Resident ? B : kInvalidBlock;
@@ -137,7 +171,7 @@ void ConcreteHierarchy::accessBatchImpl(const BatchedAccess *Ops, size_t N,
     if (!TwoLevel)
       continue;
     HierarchyOutcome R;
-    lowerLevels(B, IsWrite, Alloc1, O1, R);
+    lowerLevels(B, IsWrite, Alloc1, O1, TagSource(), R);
     ++C.L2Accesses;
     if (!R.L2Hit)
       ++C.L2Misses;
@@ -146,10 +180,11 @@ void ConcreteHierarchy::accessBatchImpl(const BatchedAccess *Ops, size_t N,
     L1.noteAccessedSet(L1.setOf(Ops[N - 1].block()));
 }
 
+template <typename LineT>
 template <PolicyKind P>
-void ConcreteHierarchy::accessBatchAs(const BatchedAccess *Ops, size_t N,
-                                      BatchCounters &C,
-                                      const L1MissSink *Sink) {
+void CacheHierarchy<LineT>::accessBatchAs(const BatchedAccess *Ops, size_t N,
+                                          BatchCounters &C,
+                                          const L1MissSink *Sink) {
   switch (Levels.front().assoc()) {
   case 4:
     accessBatchImpl<P, 4>(Ops, N, C, Sink);
@@ -166,9 +201,12 @@ void ConcreteHierarchy::accessBatchAs(const BatchedAccess *Ops, size_t N,
   }
 }
 
-void ConcreteHierarchy::accessBatch(const BatchedAccess *Ops, size_t N,
-                                    BatchCounters &C,
-                                    const L1MissSink *Sink) {
+template <typename LineT>
+void CacheHierarchy<LineT>::accessBatch(const BatchedAccess *Ops, size_t N,
+                                        BatchCounters &C,
+                                        const L1MissSink *Sink)
+  requires(!Traits::HasTag)
+{
   switch (Levels.front().config().Policy) {
   case PolicyKind::Lru:
     accessBatchAs<PolicyKind::Lru>(Ops, N, C, Sink);
@@ -185,7 +223,5 @@ void ConcreteHierarchy::accessBatch(const BatchedAccess *Ops, size_t N,
   }
 }
 
-void ConcreteHierarchy::reset() {
-  for (ConcreteCache &C : Levels)
-    C.reset();
-}
+template class wcs::CacheHierarchy<ConcreteLine>;
+template class wcs::CacheHierarchy<SymLine>;

@@ -285,17 +285,8 @@ void WarpingSimulator::runAccess(const AccessNode *A, const IterVec &Iter) {
   if (A->Guarded && !A->Domain.contains(Iter))
     return;
   BlockId B = A->Address.eval(Iter) >> BlockShift;
-  SymAccessOutcome O =
-      Cache.access(B, A->isWrite(), static_cast<int32_t>(A->Id), Iter);
-  ++Stats.SimulatedAccesses;
-  ++Stats.Level[0].Accesses;
-  if (!O.L1Hit)
-    ++Stats.Level[0].Misses;
-  else if (DepthProfile)
+  HierarchyOutcome O = Cache.access(B, A->isWrite(), {A->Id, Iter});
+  Stats.countAccess(O);
+  if (O.L1Hit && DepthProfile)
     ++DepthHist[O.L1HitDepth];
-  if (O.L2Accessed) {
-    ++Stats.Level[1].Accesses;
-    if (!O.L2Hit)
-      ++Stats.Level[1].Misses;
-  }
 }

@@ -102,9 +102,11 @@ inline ScopProgram generateProgram(std::mt19937 &Rng) {
 }
 
 /// A random one- or two-level hierarchy with policy \p K (the L2 policy
-/// is varied for PLRU, whose associativity constraint limits geometries).
-inline HierarchyConfig randomHierarchy(std::mt19937 &Rng, PolicyKind K,
-                                       bool TwoLevel) {
+/// is varied for PLRU, whose associativity constraint limits geometries)
+/// and, when two-level, the inclusion policy \p Inclusion.
+inline HierarchyConfig randomHierarchy(
+    std::mt19937 &Rng, PolicyKind K, bool TwoLevel,
+    InclusionPolicy Inclusion = InclusionPolicy::NonInclusiveNonExclusive) {
   auto Rand = [&](int Lo, int Hi) {
     return std::uniform_int_distribution<int>(Lo, Hi)(Rng);
   };
@@ -119,7 +121,7 @@ inline HierarchyConfig randomHierarchy(std::mt19937 &Rng, PolicyKind K,
   CacheConfig L2 = L1;
   L2.SizeBytes *= 1u << Rand(1, 2); // 2x or 4x the sets.
   L2.Policy = K == PolicyKind::Plru ? PolicyKind::QuadAgeLru : K;
-  return HierarchyConfig::twoLevel(L1, L2);
+  return HierarchyConfig::twoLevel(L1, L2, Inclusion);
 }
 
 } // namespace testutil

@@ -12,7 +12,7 @@
 //
 //===----------------------------------------------------------------------===//
 
-#include "wcs/cache/ConcreteCache.h"
+#include "wcs/cache/CacheHierarchy.h"
 
 #include <gtest/gtest.h>
 

@@ -9,9 +9,11 @@
 //
 //===----------------------------------------------------------------------===//
 
-#include "wcs/cache/ConcreteCache.h"
+#include "wcs/cache/CacheHierarchy.h"
 
 #include <gtest/gtest.h>
+
+#include <stdexcept>
 
 using namespace wcs;
 
@@ -213,6 +215,38 @@ TEST(ConcreteHierarchy, WritebackPropagationMode) {
   NoWB.access(100, true);
   HierarchyOutcome B2 = NoWB.access(200, false);
   EXPECT_EQ(B2.L2Writebacks, 0u);
+}
+
+/// Constructing a \p HierarchyT over \p H must throw
+/// std::invalid_argument carrying HierarchyConfig::validate()'s message.
+template <typename HierarchyT>
+void expectRejected(const HierarchyConfig &H) {
+  std::string Why = H.validate();
+  ASSERT_NE(Why, "");
+  try {
+    HierarchyT Rejected(H);
+    ADD_FAILURE() << "accepted an invalid hierarchy: " << Why;
+  } catch (const std::invalid_argument &E) {
+    EXPECT_NE(std::string(E.what()).find(Why), std::string::npos) << E.what();
+  }
+}
+
+TEST(CacheHierarchy, InvalidConfigThrowsForBothLineTypes) {
+  // The guard must hold in Release builds too, where asserts vanish.
+  CacheConfig L1 = smallConfig(PolicyKind::Lru, 2, 1);
+  CacheConfig L2 = smallConfig(PolicyKind::Lru, 4, 2);
+  L2.BlockBytes = 128;
+  L2.SizeBytes = 4 * 2 * 128;
+  HierarchyConfig Mismatched = HierarchyConfig::twoLevel(L1, L2);
+  EXPECT_EQ(Mismatched.validate(), "all levels must share one block size");
+  expectRejected<ConcreteHierarchy>(Mismatched);
+  expectRejected<SymbolicHierarchy>(Mismatched);
+
+  HierarchyConfig Empty;
+  expectRejected<ConcreteHierarchy>(Empty);
+  expectRejected<SymbolicHierarchy>(Empty);
+  EXPECT_THROW(ConcreteHierarchy(Empty, /*PropagateWritebacks=*/true),
+               std::invalid_argument);
 }
 
 TEST(ConcreteHierarchy, NoWriteAllocateBypassesOnWriteMiss) {

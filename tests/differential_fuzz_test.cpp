@@ -122,6 +122,41 @@ TEST(DifferentialFuzz, BackendsAgreeAcrossRandomHierarchies) {
   }
 }
 
+/// Inclusive and exclusive two-level hierarchies through the scalar and
+/// batched concrete walks, warping and trace. All four drive the one
+/// hierarchy composition, so any divergence is a composition bug that
+/// only one line type or one entry point sees.
+TEST(DifferentialFuzz, InclusionPoliciesAgreeAcrossBackends) {
+  std::mt19937 Rng(0x1AC1);
+  const unsigned Iters = fuzzIters();
+  for (unsigned I = 0; I < Iters; ++I) {
+    ScopProgram P = generateProgram(Rng);
+    for (PolicyKind K : kPolicies) {
+      for (InclusionPolicy Inc :
+           {InclusionPolicy::Inclusive, InclusionPolicy::Exclusive}) {
+        BatchJob J;
+        J.Program = &P;
+        J.Cache = randomHierarchy(Rng, K, /*TwoLevel=*/true, Inc);
+        std::string Ctx = "iter " + std::to_string(I) + " " + J.Cache.str();
+        J.Backend = SimBackend::Concrete;
+        J.Options.BatchConcrete = false;
+        BatchResult Ref = BatchRunner::runJob(J);
+        ASSERT_TRUE(Ref.Ok) << Ctx << ": " << Ref.Error;
+        J.Options.BatchConcrete = true;
+        for (SimBackend BE : {SimBackend::Concrete, SimBackend::Warping,
+                              SimBackend::Trace}) {
+          J.Backend = BE;
+          BatchResult R = BatchRunner::runJob(J);
+          ASSERT_TRUE(R.Ok) << Ctx << ": " << R.Error;
+          std::string Which =
+              BE == SimBackend::Concrete ? "batched" : backendName(BE);
+          expectStatsEqual(Ref.Stats, R.Stats, Ctx + " " + Which);
+        }
+      }
+    }
+  }
+}
+
 /// All three sweep flavors -- auto, forced-periodic (warp-aware shared
 /// pass) and forced-linear -- must answer every grid point with the
 /// exact counters an independent concrete simulation produces.

@@ -264,12 +264,15 @@ TEST(FilteredStreamRle, ForEachRecordExpandsInOrder) {
   CacheConfig L1{512, 2, 64, PolicyKind::Lru, WriteAllocate::Yes};
   FilteredStream Compressed = FilteredStream::record(P, L1);
   ASSERT_TRUE(Compressed.compressed());
-  // An independent tap-order reference: drive the same L1 concretely.
+  // An independent tap-order reference: drive the same L1 concretely,
+  // one access at a time (the scalar walk, not the batched loop that
+  // recording rides).
   std::vector<FilteredRecord> Ref;
-  ConcreteSimulator Sim(P, HierarchyConfig::singleLevel(L1));
-  Sim.setTap([&Ref](BlockId B, bool IsWrite, const HierarchyOutcome &O) {
-    if (!O.L1Hit)
-      Ref.push_back(FilteredRecord{B, IsWrite});
+  SimOptions Scalar;
+  Scalar.BatchConcrete = false;
+  ConcreteSimulator Sim(P, HierarchyConfig::singleLevel(L1), Scalar);
+  Sim.setMissTap([&Ref](BlockId B, bool IsWrite) {
+    Ref.push_back(FilteredRecord{B, IsWrite});
   });
   Sim.run();
   ASSERT_EQ(Compressed.size(), Ref.size());

@@ -12,7 +12,7 @@
 //
 //===----------------------------------------------------------------------===//
 
-#include "wcs/cache/ConcreteCache.h"
+#include "wcs/cache/CacheHierarchy.h"
 #include "wcs/frontend/Frontend.h"
 #include "wcs/sim/ConcreteSimulator.h"
 #include "wcs/sim/WarpingSimulator.h"
@@ -20,6 +20,8 @@
 #include <gtest/gtest.h>
 
 #include <random>
+#include <string>
+#include <vector>
 
 using namespace wcs;
 
@@ -37,9 +39,11 @@ HierarchyConfig hierarchy(InclusionPolicy P, PolicyKind K) {
   return HierarchyConfig::twoLevel(L1, L2, P);
 }
 
-void checkInvariant(const ConcreteHierarchy &H, InclusionPolicy P) {
-  const ConcreteCache &L1 = H.level(0);
-  const ConcreteCache &L2 = H.level(1);
+/// Inclusive: every L1 block is also in the L2. Exclusive: none is.
+template <typename HierarchyT>
+void checkInvariant(const HierarchyT &H, InclusionPolicy P) {
+  const typename HierarchyT::LevelCache &L1 = H.level(0);
+  const typename HierarchyT::LevelCache &L2 = H.level(1);
   for (unsigned S = 0; S < L1.numSets(); ++S) {
     for (unsigned W = 0; W < L1.assoc(); ++W) {
       BlockId B = L1.blockAt(S, W);
@@ -68,6 +72,66 @@ TEST(Inclusion, InvariantsHoldOnRandomTraces) {
           checkInvariant(H, P);
       }
       checkInvariant(H, P);
+    }
+  }
+}
+
+/// The symbolic hierarchy \p S, driven by the same accesses as the
+/// concrete \p C, must hold the same lines. Every line carries a tag of
+/// node 1 whose iteration names an access to its block: for L1 lines,
+/// and for exclusive L2 lines (migrated L1 victims keep their tag), the
+/// last access to it (\p LastTouch); for other L2 lines one no later.
+void expectSymbolicMirrors(const ConcreteHierarchy &C,
+                           const SymbolicHierarchy &S, InclusionPolicy P,
+                           const std::vector<int64_t> &LastTouch) {
+  for (unsigned Lv = 0; Lv < 2; ++Lv) {
+    const ConcreteCache &CC = C.level(Lv);
+    const SymbolicCache &SC = S.level(Lv);
+    for (unsigned Set = 0; Set < CC.numSets(); ++Set) {
+      for (unsigned W = 0; W < CC.assoc(); ++W) {
+        BlockId B = CC.blockAt(Set, W);
+        std::string Where = "L" + std::to_string(Lv + 1) + " block " +
+                            std::to_string(B);
+        ASSERT_EQ(SC.blockAt(Set, W), B) << Where;
+        EXPECT_EQ(SC.dirtyAt(Set, W), CC.dirtyAt(Set, W)) << Where;
+        if (B == kInvalidBlock)
+          continue;
+        const SymTag &T = SC.tagAt(Set, W);
+        ASSERT_EQ(T.NodeId, 1) << Where;
+        if (Lv == 0 || P == InclusionPolicy::Exclusive)
+          EXPECT_EQ(T.Iter[0], LastTouch[B]) << Where;
+        else
+          EXPECT_LE(T.Iter[0], LastTouch[B]) << Where;
+      }
+    }
+  }
+}
+
+TEST(Inclusion, SymbolicLinesKeepInvariantsAndTags) {
+  std::mt19937 Rng(78);
+  for (PolicyKind K : {PolicyKind::Lru, PolicyKind::Fifo, PolicyKind::Plru,
+                       PolicyKind::QuadAgeLru}) {
+    for (InclusionPolicy P :
+         {InclusionPolicy::Inclusive, InclusionPolicy::Exclusive}) {
+      ConcreteHierarchy C(hierarchy(P, K));
+      SymbolicHierarchy S(hierarchy(P, K));
+      std::uniform_int_distribution<BlockId> Blocks(0, 63);
+      std::vector<int64_t> LastTouch(64, -1);
+      IterVec Iter{0};
+      for (int I = 0; I < 3000; ++I) {
+        BlockId B = Blocks(Rng);
+        bool IsWrite = I % 4 == 0;
+        Iter[0] = I;
+        C.access(B, IsWrite);
+        S.access(B, IsWrite, {1, Iter});
+        LastTouch[B] = I;
+        if (I % 64 == 0) {
+          checkInvariant(S, P);
+          expectSymbolicMirrors(C, S, P, LastTouch);
+        }
+      }
+      checkInvariant(S, P);
+      expectSymbolicMirrors(C, S, P, LastTouch);
     }
   }
 }

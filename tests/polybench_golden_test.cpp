@@ -34,10 +34,13 @@ uint64_t distinctBlocks(const ScopProgram &P) {
 }
 
 HierarchyConfig hugeCache() {
-  // Big enough that only cold misses remain; fully associative LRU.
+  // Big enough that only cold misses remain; fully associative LRU at
+  // the largest associativity CacheConfig::validate() admits. A kernel
+  // touching more blocks than that would show capacity misses, so the
+  // equalities below also prove the cache is big enough.
   CacheConfig C;
   C.BlockBytes = 64;
-  C.Assoc = 1 << 15;
+  C.Assoc = 4096;
   C.SizeBytes = static_cast<uint64_t>(C.Assoc) * 64;
   C.Policy = PolicyKind::Lru;
   return HierarchyConfig::singleLevel(C);

@@ -9,8 +9,8 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "wcs/cache/CacheHierarchy.h"
 #include "wcs/frontend/Frontend.h"
-#include "wcs/sim/SymbolicCache.h"
 #include "wcs/sim/WarpEngine.h"
 
 #include <gtest/gtest.h>
@@ -49,7 +49,7 @@ void runSweep(const ScopProgram &P, SymbolicHierarchy &Cache, int64_t From,
     Iter[0] = X;
     for (const std::unique_ptr<Node> &C : L->Children) {
       const AccessNode *A = asAccess(C.get());
-      Cache.access(A->Address.eval(Iter) >> 6, A->isWrite(), A->Id, Iter);
+      Cache.access(A->Address.eval(Iter) >> 6, A->isWrite(), {A->Id, Iter});
     }
   }
 }
@@ -197,7 +197,7 @@ TEST(WarpEngine, CheckWarpRespectsDomainBoundaries) {
       const AccessNode *A = asAccess(C.get());
       if (A->Guarded && !A->Domain.contains(Iter))
         continue;
-      Cache.access(A->Address.eval(Iter) >> 6, A->isWrite(), A->Id, Iter);
+      Cache.access(A->Address.eval(Iter) >> 6, A->isWrite(), {A->Id, Iter});
     }
   };
   for (int64_t X = 1; X < 601; ++X)
