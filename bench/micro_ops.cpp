@@ -4,8 +4,9 @@
 // Polyhedral Programs" (PLDI 2022).
 //
 // google-benchmark microbenchmarks of the hot components: concrete and
-// symbolic (tagged) hierarchy accesses per policy, warp state-key
-// hashing, Fourier-Motzkin minimization, and stack-distance updates.
+// symbolic (tagged) hierarchy accesses per policy, one at a time and
+// batched, warp state-key hashing, Fourier-Motzkin minimization, and
+// stack-distance updates.
 // These quantify the constant factors behind the figure harnesses.
 //
 //===----------------------------------------------------------------------===//
@@ -53,7 +54,8 @@ void allPolicies(benchmark::internal::Benchmark *B) {
 }
 
 // The concrete and the symbolic step run the same single-level
-// hierarchy over the same trace, so they differ only in the tag write.
+// hierarchy over the same trace, so they differ only in the tag write;
+// likewise the two batched steps.
 
 void BM_ConcreteAccess(benchmark::State &State) {
   PolicyKind K = static_cast<PolicyKind>(State.range(0));
@@ -72,16 +74,54 @@ void BM_SymbolicAccess(benchmark::State &State) {
   PolicyKind K = static_cast<PolicyKind>(State.range(0));
   SymbolicHierarchy C(HierarchyConfig::singleLevel(microCache(K)));
   std::vector<BlockId> T = streamTrace(4096);
-  IterVec Iter{0, 0};
   size_t I = 0;
   for (auto _ : State) {
-    Iter[1] = static_cast<int64_t>(I);
-    benchmark::DoNotOptimize(C.access(T[I], false, {3, Iter}).L1Hit);
+    SymTag Tag{3, static_cast<int64_t>(I)};
+    benchmark::DoNotOptimize(C.access(T[I], false, Tag).L1Hit);
     I = (I + 1) & 4095;
   }
   State.SetItemsProcessed(State.iterations());
 }
 BENCHMARK(BM_SymbolicAccess)->Apply(allPolicies);
+
+/// The stream trace as one batch of reads.
+std::vector<BatchedAccess> streamBatch(size_t N) {
+  std::vector<BatchedAccess> B;
+  for (BlockId Blk : streamTrace(N))
+    B.push_back(BatchedAccess::make(Blk, false));
+  return B;
+}
+
+void BM_ConcreteBatch(benchmark::State &State) {
+  PolicyKind K = static_cast<PolicyKind>(State.range(0));
+  ConcreteHierarchy C(HierarchyConfig::singleLevel(microCache(K)));
+  std::vector<BatchedAccess> B = streamBatch(4096);
+  for (auto _ : State) {
+    BatchCounters Cnt;
+    C.accessBatch(B.data(), B.size(), Cnt);
+    benchmark::DoNotOptimize(Cnt.L1Misses);
+  }
+  State.SetItemsProcessed(State.iterations() * B.size());
+}
+BENCHMARK(BM_ConcreteBatch)->Apply(allPolicies);
+
+void BM_SymbolicBatch(benchmark::State &State) {
+  PolicyKind K = static_cast<PolicyKind>(State.range(0));
+  SymbolicHierarchy C(HierarchyConfig::singleLevel(microCache(K)));
+  std::vector<BatchedAccess> B = streamBatch(4096);
+  // One lane: access I of the batch is node 3 at iteration offset I.
+  SymTag Lane{3, 0};
+  SymbolicHierarchy::BatchExtras X;
+  X.Lanes = &Lane;
+  X.NumLanes = 1;
+  for (auto _ : State) {
+    BatchCounters Cnt;
+    C.accessBatch(B.data(), B.size(), Cnt, X);
+    benchmark::DoNotOptimize(Cnt.L1Misses);
+  }
+  State.SetItemsProcessed(State.iterations() * B.size());
+}
+BENCHMARK(BM_SymbolicBatch)->Apply(allPolicies);
 
 void BM_StateKey(benchmark::State &State) {
   std::string Err;
@@ -95,7 +135,7 @@ void BM_StateKey(benchmark::State &State) {
   const AccessNode *A = P.accesses()[0];
   for (int64_t I = 0; I < 4096; ++I) {
     IterVec Iter{0, 1 + I % 40, 1 + I % 40};
-    C.access(A->Address.eval(Iter) >> 6, false, {A->Id, Iter});
+    C.access(A->Address.eval(Iter) >> 6, false, Eng.tagOf(A->Id, Iter));
   }
   WarpScope S;
   S.Loop = P.loops()[1]; // The i-loop.

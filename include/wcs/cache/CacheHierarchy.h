@@ -15,14 +15,18 @@
 ///  - ConcreteHierarchy (ConcreteLine: block + dirty bit) drives the
 ///    concrete and trace-driven simulators;
 ///  - SymbolicHierarchy (SymLine) is the symbolic cache state of paper
-///    Sec. 5.2: every line additionally carries a *tag* naming the
-///    access-node instance (node id + iteration vector) that last
-///    touched it. Interpreting a tag under its iteration vector yields
-///    the concrete block, and shifting the vector re-concretizes the
-///    line after a warp. Tags are refreshed on every hit (the paper's
-///    SymUpSet) and adapted lazily (paper footnote 2): they store
-///    absolute iteration vectors that the warp engine relativizes on
-///    demand.
+///    Sec. 5.2: every line additionally carries a 16-byte *tag* naming
+///    the access-node instance that last touched it, as the node id plus
+///    the instance's iteration vector linearized in mixed radix over the
+///    node's box hull (the tag codec of sim/WarpEngine). Decoding a tag
+///    and interpreting the node's access function at that iteration
+///    yields the concrete block, and shifting the iteration
+///    re-concretizes the line after a warp. Tags are refreshed on every
+///    hit (the paper's SymUpSet) and adapted lazily (paper footnote 2):
+///    they store absolute linearized iterations that the warp engine
+///    relativizes on demand. A node whose box is unbounded or too large
+///    for 64 bits gets opaque tags (node id -1), which only ever match
+///    as fixed lines.
 /// The line type enters the composition only through the
 /// CacheLineTraits tag hooks, which are no-ops for concrete lines.
 ///
@@ -38,7 +42,6 @@
 #define WCS_CACHE_CACHEHIERARCHY_H
 
 #include "wcs/cache/SetAssocCache.h"
-#include "wcs/support/IterVec.h"
 
 #include <functional>
 #include <vector>
@@ -55,40 +58,42 @@ struct ConcreteLine {
 struct SymLine {
   BlockId Block = kInvalidBlock;
   bool Dirty = false;
-  int32_t NodeId = -1; ///< AccessNode::Id of the last touch; -1 if none.
-  IterVec Iter;        ///< Iteration vector of the last touch.
+  int32_t NodeId = -1; ///< AccessNode::Id of the last touch; -1 if none
+                       ///< or opaque.
+  int64_t Lin = 0;     ///< Linearized iteration of the last touch.
 };
 
-/// The symbolic payload beyond (Block, Dirty) lives in the cache's tag
-/// array: the struct-of-arrays layout keeps the per-access block-id scan
-/// free of the (comparatively fat) iteration vectors.
+/// The symbolic payload beyond (Block, Dirty): which access instance
+/// last touched the line, as (node id, linearized iteration). It lives in
+/// the cache's tag array, so the per-access block-id scan never reads it.
+struct SymTag {
+  int32_t NodeId = -1;
+  int64_t Lin = 0;
+};
+static_assert(sizeof(SymTag) <= 16, "symbolic tags must stay compact");
+
+/// An access writes its own tag into the lines it touches, by value.
 template <>
 struct CacheLineTraits<SymLine> {
   static constexpr bool HasTag = true;
-  struct Tag {
-    int32_t NodeId = -1;
-    IterVec Iter;
-  };
-  /// The access instance that touches a line, by reference: writeTag
-  /// copies the iteration vector exactly once per touched line.
-  struct TagSource {
-    int32_t NodeId;
-    const IterVec &Iter;
-  };
-  static TagSource sourceOf(const SymLine &L) { return {L.NodeId, L.Iter}; }
-  static void writeTag(Tag &T, const TagSource &S) {
-    T.NodeId = S.NodeId;
-    T.Iter = S.Iter;
-  }
+  using Tag = SymTag;
+  using TagSource = SymTag;
+  static TagSource sourceOf(const SymLine &L) { return {L.NodeId, L.Lin}; }
+  static void writeTag(Tag &T, const TagSource &S) { T = S; }
   static void unpackTag(SymLine &L, const Tag &T) {
     L.NodeId = T.NodeId;
-    L.Iter = T.Iter;
+    L.Lin = T.Lin;
+  }
+  /// A batch lane's tag \p Offset iterations after its base: batched
+  /// loops are innermost, and the innermost dimension has linearization
+  /// stride 1. Opaque lanes ignore Lin, so advancing it is harmless.
+  static TagSource advance(const TagSource &Base, int64_t Offset) {
+    return {Base.NodeId, Base.Lin + Offset};
   }
 };
 
 using ConcreteCache = SetAssocCache<ConcreteLine>;
 using SymbolicCache = SetAssocCache<SymLine>;
-using SymTag = SymbolicCache::TagT;
 
 /// Result of one hierarchy access.
 struct HierarchyOutcome {
@@ -169,17 +174,32 @@ public:
   /// exception propagates out of accessBatch mid-chunk.
   using L1MissSink = std::function<void(BlockId, bool IsWrite)>;
 
+  /// Optional inputs and outputs of accessBatch beyond the address
+  /// stream.
+  struct BatchExtras {
+    /// Called on every L1 miss (see L1MissSink); may be null.
+    const L1MissSink *Sink = nullptr;
+    /// When nonnull, every L1 hit increments DepthHist[hit depth] (see
+    /// HierarchyOutcome::L1HitDepth); it must have L1-assoc entries.
+    uint64_t *DepthHist = nullptr;
+    /// Tagged lines only: the batch is NumLanes accesses per iteration,
+    /// and access K is lane K % NumLanes at iteration offset FirstOffset
+    /// + K / NumLanes, tagged Traits::advance(Lanes[lane], offset).
+    const TagSource *Lanes = nullptr;
+    unsigned NumLanes = 0;
+    int64_t FirstOffset = 0;
+  };
+
   /// Performs \p N accesses in order, accumulating counter deltas into
   /// \p C. Semantically identical to N access() calls, but the L1
   /// replacement policy -- and, for the common way counts, the L1
   /// associativity -- is dispatched once for the whole chunk and the
   /// L1-hit fast path never leaves the loop; only L1 misses take the
-  /// (runtime-dispatched) lower-level leg and, when \p Sink is nonnull,
-  /// the miss-sink call. A batch carries no tag sources, so tagged
-  /// lines cannot use it.
+  /// (runtime-dispatched) lower-level leg and, when \p X.Sink is
+  /// nonnull, the miss-sink call. Tagged lines take their tags from the
+  /// lanes of \p X, which must then be set.
   void accessBatch(const BatchedAccess *Ops, size_t N, BatchCounters &C,
-                   const L1MissSink *Sink = nullptr)
-    requires(!Traits::HasTag);
+                   const BatchExtras &X = BatchExtras());
 
 private:
   /// The below-L1 leg of access(): everything that happens after an L1
@@ -192,12 +212,12 @@ private:
 
   template <PolicyKind P, unsigned CtAssoc>
   void accessBatchImpl(const BatchedAccess *Ops, size_t N, BatchCounters &C,
-                       const L1MissSink *Sink);
+                       const BatchExtras &X);
   /// Second dispatch stage: picks the compile-time associativity
   /// instantiation matching the L1 (0 = the runtime-assoc fallback).
   template <PolicyKind P>
   void accessBatchAs(const BatchedAccess *Ops, size_t N, BatchCounters &C,
-                     const L1MissSink *Sink);
+                     const BatchExtras &X);
 
   InclusionPolicy Inclusion;
   bool Writebacks = false;

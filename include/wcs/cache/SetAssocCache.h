@@ -37,11 +37,11 @@
 #include "wcs/support/AlignedAlloc.h"
 #include "wcs/support/MathUtil.h"
 
-#include <algorithm>
 #include <cassert>
 #include <cstdint>
 #include <cstring>
 #include <optional>
+#include <type_traits>
 #include <vector>
 
 namespace wcs {
@@ -55,11 +55,13 @@ inline constexpr BlockId kInvalidBlock = -1;
 /// The primary template covers payloads that are nothing but
 /// (Block, Dirty) -- e.g. ConcreteLine -- and stores no tag array at all.
 /// Payload types with extra state (the symbolic line's node id and
-/// iteration vector) specialize this with HasTag = true and a Tag struct
-/// holding exactly that extra state, plus the hooks a hierarchy uses to
-/// write it: a TagSource (what an access stamps on the lines it
-/// touches), sourceOf (a line's own tag as a source, to migrate it) and
-/// writeTag. For untagged payloads the hooks are empty no-ops.
+/// linearized iteration) specialize this with HasTag = true and a Tag
+/// struct holding exactly that extra state, plus the hooks a hierarchy
+/// uses to write it: a TagSource (what an access stamps on the lines it
+/// touches), sourceOf (a line's own tag as a source, to migrate it),
+/// writeTag, and advance (a batch lane's source some iterations on; only
+/// tagged payloads need it). For untagged payloads the hooks are empty
+/// no-ops.
 template <typename LineT>
 struct CacheLineTraits {
   static constexpr bool HasTag = false;
@@ -100,6 +102,8 @@ class SetAssocCache {
 
 public:
   using TagT = typename Traits::Tag;
+  // Tag rows shift with memmove, like the block rows.
+  static_assert(std::is_trivially_copyable_v<TagT>);
 
   explicit SetAssocCache(const CacheConfig &Config)
       : Cfg(Config), Sets(Config.numSets()), Assoc(Config.Assoc),
@@ -215,7 +219,7 @@ public:
         dirtyGapClose(Ph, I);
         if constexpr (Traits::HasTag) {
           TagT *TR = tagRow(Ph);
-          std::move(TR + I + 1, TR + Assoc, TR + I);
+          std::memmove(TR + I, TR + I + 1, (Assoc - 1 - I) * sizeof(TagT));
           TR[Assoc - 1] = TagT();
         }
         break;
@@ -487,7 +491,9 @@ private:
           dirtyRotateToFront(Ph, I);
           if constexpr (Traits::HasTag) {
             TagT *TR = tagRow(Ph);
-            std::rotate(TR, TR + I, TR + I + 1);
+            TagT Hit = TR[I];
+            std::memmove(TR + 1, TR, I * sizeof(TagT));
+            TR[0] = Hit;
           }
         }
         R.Way = 0;
@@ -512,7 +518,7 @@ private:
       dirtyShiftInsert(Ph);
       if constexpr (Traits::HasTag) {
         TagT *TR = tagRow(Ph);
-        std::rotate(TR, TR + A - 1, TR + A);
+        std::memmove(TR + 1, TR, (A - 1) * sizeof(TagT));
         TR[0] = TagT();
       }
       R.Way = 0;

@@ -39,6 +39,10 @@ struct SimStats {
 
   /// Accesses performed by explicit (symbolic or concrete) simulation.
   uint64_t SimulatedAccesses = 0;
+  /// Of SimulatedAccesses, those that took the batched hot loop
+  /// (CacheHierarchy::accessBatch) rather than one access() call each.
+  /// A work counter: it is not part of any JSON document.
+  uint64_t BatchedAccesses = 0;
   /// Accesses accounted for analytically by warping (Theorem 4).
   uint64_t WarpedAccesses = 0;
   /// Number of successful warp applications.
@@ -65,6 +69,7 @@ struct SimStats {
   /// Adds the counter deltas of explicitly simulated batched accesses.
   void addBatch(const BatchCounters &C) {
     SimulatedAccesses += C.L1Accesses;
+    BatchedAccesses += C.L1Accesses;
     Level[0].Accesses += C.L1Accesses;
     Level[0].Misses += C.L1Misses;
     Level[1].Accesses += C.L2Accesses;

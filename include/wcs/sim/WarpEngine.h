@@ -28,6 +28,14 @@
 /// range hulls) errs toward rejecting or shortening warps, never toward
 /// admitting an unsound one.
 ///
+/// Line tags are compact (paper footnote 2's lazy tag adaptation): the
+/// engine owns the tag codec, which linearizes an access instance's
+/// iteration vector in mixed radix over the box hull of its node's
+/// domain, computed once at construction. Keys, checks and warps decode
+/// tags on demand; a node whose box is unbounded or overflows 64 bits
+/// gets opaque tags (node id -1), which hash by block and never move, so
+/// the fallback can only forfeit warps.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef WCS_SIM_WARPENGINE_H
@@ -62,7 +70,9 @@ struct WarpPlan {
   std::vector<uint8_t> Moving[2];
 };
 
-/// Stateless warp logic over a program and hierarchy configuration.
+/// Warp logic over a program and hierarchy configuration: immutable after
+/// construction except for reusable scratch, so one engine serves one
+/// simulator thread.
 class WarpEngine {
 public:
   WarpEngine(const ScopProgram &Program, const HierarchyConfig &Cache,
@@ -74,6 +84,15 @@ public:
   /// delta is a multiple of this unit, so the simulator skips cheaper.
   /// Returns 0 if the loop can never warp (e.g. disjunctive domains).
   int64_t deltaUnit(const LoopNode *Loop) const;
+
+  /// The tag of access node \p NodeId's instance at \p Iter (one value
+  /// per enclosing loop, inside the node's domain): the node id and the
+  /// iteration linearized over the node's box, innermost stride 1; or an
+  /// opaque tag (node id -1) if the node has no finite 64-bit box.
+  SymTag tagOf(int NodeId, const IterVec &Iter) const;
+
+  /// The iteration vector a non-opaque tag encodes (inverts tagOf).
+  IterVec iterOf(const SymTag &T) const;
 
   /// Rotation-invariant hash of the symbolic state relative to \p Scope.
   /// Two states that can match (for any delta) hash equally: per-line
@@ -98,6 +117,33 @@ public:
                  const WarpPlan &Plan) const;
 
 private:
+  /// Mixed-radix box hull of one access node's domain: dimension K spans
+  /// [Lo[K], Lo[K] + Ext[K]) and contributes (i_K - Lo[K]) * Stride[K] to
+  /// a tag, so the tags of all instances are dense in [0, Total).
+  struct TagBox {
+    bool Opaque = true;
+    unsigned Dims = 0;
+    int64_t Lo[MaxLoopDepth] = {};
+    int64_t Ext[MaxLoopDepth] = {};
+    int64_t Stride[MaxLoopDepth] = {};
+    int64_t Total = 0;
+  };
+
+  /// The tags [Lo, Hi) of one node's instances whose outer iterators
+  /// equal a scope's prefix; empty if the prefix lies outside the
+  /// node's box or the node is opaque.
+  struct LinRange {
+    int64_t Lo = 0;
+    int64_t Hi = 0;
+    bool contains(int64_t Lin) const { return Lin >= Lo && Lin < Hi; }
+  };
+
+  static TagBox boxOf(const AccessNode &A);
+
+  /// The LinRange of every access node under \p Scope's loop, indexed by
+  /// node id - FirstAccess (valid until the next call).
+  const std::vector<LinRange> &scopeRanges(const WarpScope &Scope) const;
+
   /// Per-access-node shift info for one warp attempt.
   struct NodeShift {
     const AccessNode *A;
@@ -152,6 +198,10 @@ private:
   unsigned BlockBytes;
   unsigned BlockShift;
   bool IncludeScalars;
+  /// The tag codec, indexed by AccessNode::Id.
+  std::vector<TagBox> Boxes;
+  /// scopeRanges scratch.
+  mutable std::vector<LinRange> Ranges;
 };
 
 } // namespace wcs

@@ -21,7 +21,8 @@
 /// occurrence; later occurrences attempt warps against the stored
 /// snapshots. Loops whose activations repeatedly probe without ever
 /// warping stop probing (see WarpConfig), keeping non-warping kernels at
-/// ordinary-simulation cost.
+/// ordinary-simulation cost: innermost loops that cannot probe take the
+/// batched hot loop (sim/LoopBatch), like the concrete simulator.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -30,6 +31,7 @@
 
 #include "wcs/cache/CacheHierarchy.h"
 #include "wcs/scop/Program.h"
+#include "wcs/sim/LoopBatch.h"
 #include "wcs/sim/SimConfig.h"
 #include "wcs/sim/SimStats.h"
 #include "wcs/sim/WarpEngine.h"
@@ -99,6 +101,7 @@ private:
   std::vector<int64_t> DeltaUnit;
   uint64_t TotalLines = 0;
   std::vector<std::unique_ptr<Activation>> Pools;
+  LoopBatcher<SymLine> Batcher;
   /// Depth profiling (enableDepthProfile): hit counts by L1 stack depth.
   std::vector<uint64_t> DepthHist;
   bool DepthProfile = false;

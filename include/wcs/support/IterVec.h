@@ -8,8 +8,8 @@
 /// \file
 /// Fixed-capacity vector of loop iterator values. Loop nests in the
 /// polyhedral model are shallow (PolyBench's deepest nest has four loops),
-/// so a small inline array avoids any allocation in the simulator's hot
-/// path, where one IterVec is stored per cache line.
+/// so a small inline array avoids any allocation in the simulators' hot
+/// paths, which pass and copy iteration points per access.
 ///
 //===----------------------------------------------------------------------===//
 

@@ -7,20 +7,27 @@
 
 #include "wcs/cache/CacheHierarchy.h"
 
+#include <cassert>
 #include <stdexcept>
 
 using namespace wcs;
 
 namespace {
 
-/// Marks the line an access hit or filled at (O.Set, O.Way): its tag
+/// Marks the line an access hit or filled at (\p Set, \p Way): its tag
 /// comes from \p Src, and \p Dirty ORs into its dirty bit.
+template <typename LineT>
+void touch(SetAssocCache<LineT> &C, unsigned Set, unsigned Way, bool Dirty,
+           const typename CacheLineTraits<LineT>::TagSource &Src) {
+  if constexpr (CacheLineTraits<LineT>::HasTag)
+    CacheLineTraits<LineT>::writeTag(C.tagAt(Set, Way), Src);
+  C.orDirtyAt(Set, Way, Dirty);
+}
+
 template <typename LineT>
 void touch(SetAssocCache<LineT> &C, const AccessOutcome &O, bool Dirty,
            const typename CacheLineTraits<LineT>::TagSource &Src) {
-  if constexpr (CacheLineTraits<LineT>::HasTag)
-    CacheLineTraits<LineT>::writeTag(C.tagAt(O.Set, O.Way), Src);
-  C.orDirtyAt(O.Set, O.Way, Dirty);
+  touch(C, O.Set, O.Way, Dirty, Src);
 }
 
 } // namespace
@@ -129,26 +136,40 @@ template <typename LineT>
 template <PolicyKind P, unsigned CtAssoc>
 void CacheHierarchy<LineT>::accessBatchImpl(const BatchedAccess *Ops, size_t N,
                                             BatchCounters &C,
-                                            const L1MissSink *Sink) {
+                                            const BatchExtras &X) {
   LevelCache &L1 = Levels.front();
   const bool NoWriteAlloc = L1.config().WriteAlloc == WriteAllocate::No;
   const bool TwoLevel = Levels.size() >= 2;
+  uint64_t *const Hist = X.DepthHist;
   C.L1Accesses += N;
   // Consecutive accesses to one block are guaranteed hits whose policy
   // update is idempotent (LRU: already most recent; FIFO: no-op; PLRU:
   // touch of the same way; QLRU: re-zeroing a zero hit age) -- only the
-  // dirty OR of a write still matters. Sub-block strides and stride-0
+  // dirty OR of a write and the tag refresh still matter, and the hit
+  // depth is the way the line sits in. Sub-block strides and stride-0
   // operands make such runs common, so they bypass the cache entirely.
   // For QLRU the previous access must itself have been a hit: a hit on
   // a just-inserted line ages it InsertAge -> HitAge, a real update.
   BlockId LastB = kInvalidBlock;
   unsigned LastSet = 0, LastWay = 0;
+  // Tag-lane cursor (tagged lines only).
+  unsigned Lane = 0;
+  int64_t Offset = X.FirstOffset;
   for (size_t K = 0; K < N; ++K) {
     BlockId B = Ops[K].block();
     bool IsWrite = Ops[K].isWrite();
+    TagSource Src;
+    if constexpr (Traits::HasTag) {
+      Src = Traits::advance(X.Lanes[Lane], Offset);
+      if (++Lane == X.NumLanes) {
+        Lane = 0;
+        ++Offset;
+      }
+    }
     if (B == LastB) {
-      if (IsWrite)
-        L1.orDirtyAt(LastSet, LastWay, true);
+      if (Hist)
+        ++Hist[LastWay];
+      touch(L1, LastSet, LastWay, IsWrite, Src);
       continue;
     }
     bool Alloc1 = !(IsWrite && NoWriteAlloc);
@@ -159,19 +180,20 @@ void CacheHierarchy<LineT>::accessBatchImpl(const BatchedAccess *Ops, size_t N,
     LastSet = O1.Set;
     LastWay = O1.Way;
     if (O1.Hit) {
-      if (IsWrite)
-        L1.orDirtyAt(O1.Set, O1.Way, true);
+      if (Hist)
+        ++Hist[O1.HitDepth];
+      touch(L1, O1, IsWrite, Src);
       continue;
     }
     ++C.L1Misses;
-    if (Sink)
-      (*Sink)(B, IsWrite);
-    if (O1.Inserted && IsWrite)
-      L1.orDirtyAt(O1.Set, O1.Way, true);
+    if (X.Sink)
+      (*X.Sink)(B, IsWrite);
+    if (O1.Inserted)
+      touch(L1, O1, IsWrite, Src);
     if (!TwoLevel)
       continue;
     HierarchyOutcome R;
-    lowerLevels(B, IsWrite, Alloc1, O1, TagSource(), R);
+    lowerLevels(B, IsWrite, Alloc1, O1, Src, R);
     ++C.L2Accesses;
     if (!R.L2Hit)
       ++C.L2Misses;
@@ -184,19 +206,19 @@ template <typename LineT>
 template <PolicyKind P>
 void CacheHierarchy<LineT>::accessBatchAs(const BatchedAccess *Ops, size_t N,
                                           BatchCounters &C,
-                                          const L1MissSink *Sink) {
+                                          const BatchExtras &X) {
   switch (Levels.front().assoc()) {
   case 4:
-    accessBatchImpl<P, 4>(Ops, N, C, Sink);
+    accessBatchImpl<P, 4>(Ops, N, C, X);
     break;
   case 8:
-    accessBatchImpl<P, 8>(Ops, N, C, Sink);
+    accessBatchImpl<P, 8>(Ops, N, C, X);
     break;
   case 16:
-    accessBatchImpl<P, 16>(Ops, N, C, Sink);
+    accessBatchImpl<P, 16>(Ops, N, C, X);
     break;
   default:
-    accessBatchImpl<P, 0>(Ops, N, C, Sink);
+    accessBatchImpl<P, 0>(Ops, N, C, X);
     break;
   }
 }
@@ -204,21 +226,20 @@ void CacheHierarchy<LineT>::accessBatchAs(const BatchedAccess *Ops, size_t N,
 template <typename LineT>
 void CacheHierarchy<LineT>::accessBatch(const BatchedAccess *Ops, size_t N,
                                         BatchCounters &C,
-                                        const L1MissSink *Sink)
-  requires(!Traits::HasTag)
-{
+                                        const BatchExtras &X) {
+  assert((!Traits::HasTag || X.NumLanes != 0) && "tagged batch needs lanes");
   switch (Levels.front().config().Policy) {
   case PolicyKind::Lru:
-    accessBatchAs<PolicyKind::Lru>(Ops, N, C, Sink);
+    accessBatchAs<PolicyKind::Lru>(Ops, N, C, X);
     break;
   case PolicyKind::Fifo:
-    accessBatchAs<PolicyKind::Fifo>(Ops, N, C, Sink);
+    accessBatchAs<PolicyKind::Fifo>(Ops, N, C, X);
     break;
   case PolicyKind::Plru:
-    accessBatchAs<PolicyKind::Plru>(Ops, N, C, Sink);
+    accessBatchAs<PolicyKind::Plru>(Ops, N, C, X);
     break;
   case PolicyKind::QuadAgeLru:
-    accessBatchAs<PolicyKind::QuadAgeLru>(Ops, N, C, Sink);
+    accessBatchAs<PolicyKind::QuadAgeLru>(Ops, N, C, X);
     break;
   }
 }

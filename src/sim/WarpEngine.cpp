@@ -12,6 +12,7 @@
 #include "wcs/support/MathUtil.h"
 
 #include <cassert>
+#include <numeric>
 
 using namespace wcs;
 
@@ -24,6 +25,126 @@ WarpEngine::WarpEngine(const ScopProgram &Program,
       IncludeScalars(Options.IncludeScalars) {
   for (unsigned L = 0; L < NumLevels; ++L)
     SetCount[L] = Cache.Levels[L].numSets();
+  Boxes.reserve(Program.accesses().size());
+  for (const AccessNode *A : Program.accesses())
+    Boxes.push_back(boxOf(*A));
+}
+
+//===----------------------------------------------------------------------===//
+// Tag codec
+//===----------------------------------------------------------------------===//
+
+WarpEngine::TagBox WarpEngine::boxOf(const AccessNode &A) {
+  // Per disjunct and dimension K, the rational minima of x_K and of an
+  // extra variable equal to -x_K bound the integer points; the box is
+  // the hull over all disjuncts.
+  const unsigned M = A.Depth;
+  assert(M <= MaxLoopDepth && "loop nest too deep");
+  std::vector<unsigned> Dims(M);
+  std::iota(Dims.begin(), Dims.end(), 0u);
+  int64_t Lo[MaxLoopDepth], Hi[MaxLoopDepth];
+  bool Any = false;
+  for (const ConvexSet &Part : A.Domain.disjuncts()) {
+    int64_t PartLo[MaxLoopDepth], PartHi[MaxLoopDepth];
+    bool Empty = false;
+    for (unsigned K = 0; K < M; ++K) {
+      LinearSystem Sys(M + 1);
+      Part.addToSystem(Sys, Dims);
+      std::vector<int64_t> Neg(M + 1, 0);
+      Neg[K] = Neg[M] = 1;
+      Sys.addEQ(Neg, 0);
+      std::optional<Rational> Min, NegMax;
+      FMStatus St = Sys.minimize(K, Min);
+      if (St == FMStatus::Feasible)
+        St = Sys.minimize(M, NegMax);
+      if (St == FMStatus::Unknown ||
+          (St == FMStatus::Feasible && (!Min || !NegMax)))
+        return TagBox(); // Overflow or unbounded: opaque.
+      // Rationally empty, or without an integer point in dimension K.
+      Empty = St == FMStatus::Infeasible || Min->ceil() > -NegMax->ceil();
+      if (Empty)
+        break;
+      PartLo[K] = Min->ceil();
+      PartHi[K] = -NegMax->ceil();
+    }
+    if (Empty)
+      continue;
+    for (unsigned K = 0; K < M; ++K) {
+      Lo[K] = Any ? std::min(Lo[K], PartLo[K]) : PartLo[K];
+      Hi[K] = Any ? std::max(Hi[K], PartHi[K]) : PartHi[K];
+    }
+    Any = true;
+  }
+  if (!Any)
+    return TagBox(); // The node never executes.
+  TagBox Box;
+  Box.Dims = M;
+  int64_t Stride = 1;
+  for (unsigned K = M; K-- > 0;) {
+    __int128 Ext = static_cast<__int128>(Hi[K]) - Lo[K] + 1;
+    if (Ext > INT64_MAX)
+      return TagBox();
+    Box.Lo[K] = Lo[K];
+    Box.Ext[K] = static_cast<int64_t>(Ext);
+    Box.Stride[K] = Stride;
+    std::optional<int64_t> Next = checkedMul(Stride, Box.Ext[K]);
+    if (!Next)
+      return TagBox(); // The mixed-radix product overflows 64 bits.
+    Stride = *Next;
+  }
+  Box.Total = Stride;
+  Box.Opaque = false;
+  return Box;
+}
+
+SymTag WarpEngine::tagOf(int NodeId, const IterVec &Iter) const {
+  const TagBox &B = Boxes[NodeId];
+  if (B.Opaque)
+    return SymTag{-1, 0};
+  assert(Iter.size() == B.Dims && "tag of a foreign iteration");
+  int64_t Lin = 0;
+  for (unsigned K = 0; K < B.Dims; ++K) {
+    assert(Iter[K] >= B.Lo[K] && Iter[K] - B.Lo[K] < B.Ext[K] &&
+           "iteration outside its node's box");
+    Lin += (Iter[K] - B.Lo[K]) * B.Stride[K];
+  }
+  return SymTag{NodeId, Lin};
+}
+
+IterVec WarpEngine::iterOf(const SymTag &T) const {
+  assert(T.NodeId >= 0 && !Boxes[T.NodeId].Opaque && "opaque tag");
+  const TagBox &B = Boxes[T.NodeId];
+  IterVec It(B.Dims);
+  for (unsigned K = 0; K < B.Dims; ++K)
+    It[K] = B.Lo[K] + T.Lin / B.Stride[K] % B.Ext[K];
+  return It;
+}
+
+const std::vector<WarpEngine::LinRange> &
+WarpEngine::scopeRanges(const WarpScope &Scope) const {
+  const unsigned D = Scope.Loop->Depth;
+  const int First = Scope.Loop->FirstAccess;
+  Ranges.assign(static_cast<size_t>(Scope.Loop->EndAccess - First),
+                LinRange());
+  for (size_t I = 0; I < Ranges.size(); ++I) {
+    const TagBox &B = Boxes[First + I];
+    if (B.Opaque)
+      continue;
+    assert(B.Dims > D && "subtree node outside its loop");
+    // Outer dimensions [0, D) select one contiguous run of tags, as long
+    // as the span of the inner ones, Stride[D - 1].
+    int64_t Base = 0;
+    bool Inside = true;
+    for (unsigned K = 0; K < D && Inside; ++K) {
+      int64_t Rel = Scope.Prefix[K] - B.Lo[K];
+      Inside = Rel >= 0 && Rel < B.Ext[K];
+      if (Inside)
+        Base += Rel * B.Stride[K];
+    }
+    if (Inside)
+      Ranges[I] = LinRange{Base, Base + (D == 0 ? B.Total : B.Stride[D - 1])};
+  }
+  return Ranges;
 }
 
 int64_t WarpEngine::deltaUnit(const LoopNode *Loop) const {
@@ -56,6 +177,7 @@ uint64_t WarpEngine::stateKey(const SymbolicHierarchy &State,
   const unsigned D = Scope.Loop->Depth;
   const int First = Scope.Loop->FirstAccess;
   const int End = Scope.Loop->EndAccess;
+  const std::vector<LinRange> &R = scopeRanges(Scope);
   HashStream H;
   for (unsigned Lv = 0; Lv < NumLevels; ++Lv) {
     const SymbolicCache &C = State.level(Lv);
@@ -74,13 +196,14 @@ uint64_t WarpEngine::stateKey(const SymbolicHierarchy &State,
         // uniformly) and for frozen lines. Everything else hashes by its
         // concrete block.
         const SymTag &T = C.tagAt(S, W);
-        bool Subtree = T.NodeId >= First && T.NodeId < End &&
-                       T.Iter.size() > D && T.Iter.prefixEquals(Scope.Prefix, D);
-        if (Subtree) {
+        if (T.NodeId >= First && T.NodeId < End &&
+            R[T.NodeId - First].contains(T.Lin)) {
+          const TagBox &B = Boxes[T.NodeId];
+          int64_t Rel = T.Lin - R[T.NodeId - First].Lo;
           H.add(uint64_t{1});
           H.add(static_cast<uint64_t>(T.NodeId));
-          for (unsigned K = D + 1; K < T.Iter.size(); ++K)
-            H.add(T.Iter[K]);
+          for (unsigned K = D + 1; K < B.Dims; ++K)
+            H.add(B.Lo[K] + Rel / B.Stride[K] % B.Ext[K]);
         } else {
           H.add(uint64_t{2});
           H.add(static_cast<uint64_t>(Blk));
@@ -523,6 +646,7 @@ bool WarpEngine::checkWarp(const SymbolicHierarchy &Old,
     return false;
 
   // Line-pair verification: build the partial bijection pi.
+  const std::vector<LinRange> &R = scopeRanges(Scope);
   std::unordered_map<BlockId, BlockId> PiFwd, PiRev;
   for (unsigned Lv = 0; Lv < NumLevels; ++Lv) {
     const SymbolicCache &CO = Old.level(Lv);
@@ -542,28 +666,28 @@ bool WarpEngine::checkWarp(const SymbolicHierarchy &Old,
         if (!V0)
           continue;
 
-        const SymTag &L0 = CO.tagAt(S, W);
-        const SymTag &L1 = CC.tagAt(S2, W);
+        // Moving: the same subtree node at the scope prefix, Delta
+        // iterations of the warped dimension apart with equal inner
+        // iterators -- for two tags in the prefix's range exactly a tag
+        // distance of Delta * Stride[D], since the inner dimensions span
+        // less than Stride[D].
+        const SymTag &T0 = CO.tagAt(S, W);
+        const SymTag &T1 = CC.tagAt(S2, W);
         int64_t BlockDelta = B1 - B0;
         bool Moving = false;
-        if (L0.NodeId == L1.NodeId && L0.NodeId >= First && L0.NodeId < End) {
-          const AccessNode *A = Program.accesses()[L0.NodeId];
-          unsigned M = A->Depth;
-          if (L0.Iter.size() == M && L1.Iter.size() == M && M > D &&
-              L0.Iter.prefixEquals(Scope.Prefix, D) &&
-              L1.Iter.prefixEquals(Scope.Prefix, D) &&
-              L0.Iter[D] + Delta == L1.Iter[D]) {
-            bool InnerEq = true;
-            for (unsigned K = D + 1; K < M; ++K)
-              InnerEq &= L0.Iter[K] == L1.Iter[K];
-            if (InnerEq) {
-              int64_t CoefBytes =
-                  A->Address.numDims() > D ? A->Address.coeff(D) : 0;
-              // collectShifts established BB | CoefBytes*Delta for all
-              // subtree nodes, so the shift below is integral.
-              Moving = BlockDelta * static_cast<int64_t>(BlockBytes) ==
-                       CoefBytes * Delta;
-            }
+        if (T0.NodeId == T1.NodeId && T0.NodeId >= First && T0.NodeId < End) {
+          const LinRange &Rg = R[T0.NodeId - First];
+          std::optional<int64_t> Dist =
+              checkedMul(Delta, Boxes[T0.NodeId].Stride[D]);
+          if (Rg.contains(T0.Lin) && Rg.contains(T1.Lin) &&
+              Dist == T1.Lin - T0.Lin) {
+            const AccessNode *A = Program.accesses()[T0.NodeId];
+            int64_t CoefBytes =
+                A->Address.numDims() > D ? A->Address.coeff(D) : 0;
+            // collectShifts established BB | CoefBytes*Delta for all
+            // subtree nodes, so the shift below is integral.
+            Moving = BlockDelta * static_cast<int64_t>(BlockBytes) ==
+                     CoefBytes * Delta;
           }
         }
         if (!Moving && BlockDelta != 0)
@@ -620,10 +744,19 @@ void WarpEngine::applyWarp(SymbolicHierarchy &State, const WarpScope &Scope,
         if (!Plan.Moving[Lv][static_cast<size_t>(S) * Assoc + W])
           continue;
         SymTag &T = C.tagAt(S, W);
-        T.Iter[D] += Shift;
+        const TagBox &B = Boxes[T.NodeId];
+        IterVec It = iterOf(T);
+        It[D] += Shift;
         C.setBlockAt(S, W,
-                     Program.accesses()[T.NodeId]->Address.eval(T.Iter) >>
+                     Program.accesses()[T.NodeId]->Address.eval(It) >>
                          BlockShift);
+        // The shifted instance is one the loop executes, hence inside the
+        // box; should it not be, the line keeps its block but turns
+        // opaque, which can only forfeit later warps.
+        if (It[D] - B.Lo[D] < B.Ext[D])
+          T.Lin += Shift * B.Stride[D];
+        else
+          T = SymTag{-1, 0};
       }
     }
     C.rotateSets(Plan.N * Plan.Rot[Lv]);

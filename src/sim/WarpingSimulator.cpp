@@ -114,7 +114,8 @@ WarpingSimulator::WarpingSimulator(const ScopProgram &Program,
       ProbeCost(Program.loops().size(), 0),
       ProbeGain(Program.loops().size(), 0),
       GuardedActivations(Program.loops().size(), 0),
-      DeltaUnit(Program.loops().size(), -1) {
+      DeltaUnit(Program.loops().size(), -1),
+      Batcher(Program, BlockShift, Options.IncludeScalars) {
   Stats.NumLevels = CacheCfg.numLevels();
   for (const CacheConfig &C : CacheCfg.Levels)
     TotalLines += C.numLines();
@@ -161,6 +162,15 @@ void WarpingSimulator::runLoop(const LoopNode *L, IterVec &Iter) {
   int64_t Unit = DeltaUnit[L->Id];
   bool CanProbe = WC.Enable && !LoopDisabled[L->Id] && !NeedMembership &&
                   L->EndAccess > L->FirstAccess && Unit > 0;
+  if (!CanProbe && Batcher.batchable(L)) {
+    SymbolicHierarchy::BatchExtras X;
+    X.DepthHist = DepthProfile ? DepthHist.data() : nullptr;
+    auto TagOf = [&](const AccessNode *A, const IterVec &It) {
+      return Engine.tagOf(A->Id, It);
+    };
+    Stats.addBatch(Batcher.walk(Cache, L, Iter, B->Lo, B->Hi, TagOf, X));
+    return;
+  }
 
   WarpScope Scope;
   Scope.Loop = L;
@@ -285,7 +295,8 @@ void WarpingSimulator::runAccess(const AccessNode *A, const IterVec &Iter) {
   if (A->Guarded && !A->Domain.contains(Iter))
     return;
   BlockId B = A->Address.eval(Iter) >> BlockShift;
-  HierarchyOutcome O = Cache.access(B, A->isWrite(), {A->Id, Iter});
+  SymTag Tag = Engine.tagOf(A->Id, Iter);
+  HierarchyOutcome O = Cache.access(B, A->isWrite(), Tag);
   Stats.countAccess(O);
   if (O.L1Hit && DepthProfile)
     ++DepthHist[O.L1HitDepth];

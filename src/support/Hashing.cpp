@@ -14,8 +14,8 @@
 
 namespace wcs {
 
-static_assert(sizeof(IterVec) <= 72, "IterVec should stay small; it is "
-                                     "stored per cache line in the symbolic "
-                                     "simulator");
+static_assert(sizeof(IterVec) <= 72, "IterVec should stay small; the "
+                                     "simulators pass and copy it per "
+                                     "access");
 
 } // namespace wcs

@@ -78,9 +78,10 @@ TEST(Inclusion, InvariantsHoldOnRandomTraces) {
 
 /// The symbolic hierarchy \p S, driven by the same accesses as the
 /// concrete \p C, must hold the same lines. Every line carries a tag of
-/// node 1 whose iteration names an access to its block: for L1 lines,
-/// and for exclusive L2 lines (migrated L1 victims keep their tag), the
-/// last access to it (\p LastTouch); for other L2 lines one no later.
+/// node 1 whose linearized iteration (here simply the access index) names
+/// an access to its block: for L1 lines, and for exclusive L2 lines
+/// (migrated L1 victims keep their tag), the last access to it
+/// (\p LastTouch); for other L2 lines one no later.
 void expectSymbolicMirrors(const ConcreteHierarchy &C,
                            const SymbolicHierarchy &S, InclusionPolicy P,
                            const std::vector<int64_t> &LastTouch) {
@@ -99,9 +100,9 @@ void expectSymbolicMirrors(const ConcreteHierarchy &C,
         const SymTag &T = SC.tagAt(Set, W);
         ASSERT_EQ(T.NodeId, 1) << Where;
         if (Lv == 0 || P == InclusionPolicy::Exclusive)
-          EXPECT_EQ(T.Iter[0], LastTouch[B]) << Where;
+          EXPECT_EQ(T.Lin, LastTouch[B]) << Where;
         else
-          EXPECT_LE(T.Iter[0], LastTouch[B]) << Where;
+          EXPECT_LE(T.Lin, LastTouch[B]) << Where;
       }
     }
   }
@@ -117,13 +118,11 @@ TEST(Inclusion, SymbolicLinesKeepInvariantsAndTags) {
       SymbolicHierarchy S(hierarchy(P, K));
       std::uniform_int_distribution<BlockId> Blocks(0, 63);
       std::vector<int64_t> LastTouch(64, -1);
-      IterVec Iter{0};
       for (int I = 0; I < 3000; ++I) {
         BlockId B = Blocks(Rng);
         bool IsWrite = I % 4 == 0;
-        Iter[0] = I;
         C.access(B, IsWrite);
-        S.access(B, IsWrite, {1, Iter});
+        S.access(B, IsWrite, SymTag{1, I});
         LastTouch[B] = I;
         if (I % 64 == 0) {
           checkInvariant(S, P);

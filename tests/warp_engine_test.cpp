@@ -40,16 +40,18 @@ HierarchyConfig l1Only(unsigned Sets, unsigned Assoc, PolicyKind K) {
   return HierarchyConfig::singleLevel(C);
 }
 
-/// Runs the sweep body for iterations [From, To) on \p Cache.
-void runSweep(const ScopProgram &P, SymbolicHierarchy &Cache, int64_t From,
-              int64_t To) {
+/// Runs the sweep body for iterations [From, To) on \p Cache, tagging
+/// lines with \p E's codec.
+void runSweep(const ScopProgram &P, const WarpEngine &E,
+              SymbolicHierarchy &Cache, int64_t From, int64_t To) {
   const LoopNode *L = P.loops()[0];
   IterVec Iter{0};
   for (int64_t X = From; X < To; ++X) {
     Iter[0] = X;
     for (const std::unique_ptr<Node> &C : L->Children) {
       const AccessNode *A = asAccess(C.get());
-      Cache.access(A->Address.eval(Iter) >> 6, A->isWrite(), {A->Id, Iter});
+      Cache.access(A->Address.eval(Iter) >> 6, A->isWrite(),
+                   E.tagOf(A->Id, Iter));
     }
   }
 }
@@ -101,11 +103,11 @@ TEST(WarpEngine, StateKeyIsInvariantUnderRotatingProgress) {
   S.Loop = P.loops()[0];
   S.Hi = 4095;
 
-  runSweep(P, Cache, 1, 601); // Past the transient.
+  runSweep(P, E, Cache, 1, 601); // Past the transient.
   uint64_t K0 = E.stateKey(Cache, S);
-  runSweep(P, Cache, 601, 605);
+  runSweep(P, E, Cache, 601, 605);
   uint64_t KMid = E.stateKey(Cache, S);
-  runSweep(P, Cache, 605, 609);
+  runSweep(P, E, Cache, 605, 609);
   uint64_t K1 = E.stateKey(Cache, S);
   EXPECT_EQ(K0, K1) << "one full block period (8 iterations) apart";
   EXPECT_EQ(K0, KMid) << "the key deliberately ignores the warped "
@@ -123,9 +125,9 @@ TEST(WarpEngine, CheckWarpAcceptsTheRotatingMatch) {
   S.Loop = P.loops()[0];
   S.Hi = 4095;
 
-  runSweep(P, Cache, 1, 601);
+  runSweep(P, E, Cache, 1, 601);
   SymbolicHierarchy Snapshot = Cache; // State at x = 601.
-  runSweep(P, Cache, 601, 609);       // State at x = 609: delta = 8.
+  runSweep(P, E, Cache, 601, 609);    // State at x = 609: delta = 8.
 
   WarpPlan Plan;
   ASSERT_TRUE(E.checkWarp(Snapshot, Cache, S, 601, 609, Plan));
@@ -146,18 +148,18 @@ TEST(WarpEngine, CheckWarpRejectsOffPeriodAndPerturbedStates) {
   S.Loop = P.loops()[0];
   S.Hi = 4095;
 
-  runSweep(P, Cache, 1, 601);
+  runSweep(P, E, Cache, 1, 601);
   SymbolicHierarchy Snapshot = Cache;
 
   // Off-period delta: the induced block mapping is not functional.
-  runSweep(P, Cache, 601, 606);
+  runSweep(P, E, Cache, 601, 606);
   WarpPlan Plan;
   EXPECT_FALSE(E.checkWarp(Snapshot, Cache, S, 601, 606, Plan))
       << "delta = 5 is not a multiple of the block period";
 
   // Complete the period but perturb one line's block: pi would not be
   // consistent.
-  runSweep(P, Cache, 606, 609);
+  runSweep(P, E, Cache, 606, 609);
   SymbolicHierarchy Broken = Cache;
   // Same set, wrong block.
   Broken.level(0).setBlockAt(3, 0, Broken.level(0).blockAt(3, 0) + 8);
@@ -197,7 +199,8 @@ TEST(WarpEngine, CheckWarpRespectsDomainBoundaries) {
       const AccessNode *A = asAccess(C.get());
       if (A->Guarded && !A->Domain.contains(Iter))
         continue;
-      Cache.access(A->Address.eval(Iter) >> 6, A->isWrite(), {A->Id, Iter});
+      Cache.access(A->Address.eval(Iter) >> 6, A->isWrite(),
+                   E.tagOf(A->Id, Iter));
     }
   };
   for (int64_t X = 1; X < 601; ++X)
@@ -226,16 +229,16 @@ TEST(WarpEngine, ApplyWarpRotatesAndReconcretizes) {
   S.Loop = P.loops()[0];
   S.Hi = 4095;
 
-  runSweep(P, Cache, 1, 601);
+  runSweep(P, E, Cache, 1, 601);
   SymbolicHierarchy Snapshot = Cache;
-  runSweep(P, Cache, 601, 609);
+  runSweep(P, E, Cache, 601, 609);
   WarpPlan Plan;
   ASSERT_TRUE(E.checkWarp(Snapshot, Cache, S, 601, 609, Plan));
   E.applyWarp(Cache, S, Plan);
 
   // Reference: simulate the same span explicitly.
   SymbolicHierarchy Ref = Snapshot;
-  runSweep(P, Ref, 601, 609 + Plan.N * Plan.Delta);
+  runSweep(P, E, Ref, 601, 609 + Plan.N * Plan.Delta);
   for (unsigned Set = 0; Set < 8; ++Set)
     for (unsigned Way = 0; Way < 2; ++Way) {
       EXPECT_EQ(Cache.level(0).blockAt(Set, Way),

@@ -131,9 +131,10 @@ void printStats(const char *Tag, const SimStats &S) {
     std::printf("  L%u misses     %llu  (%.3f%% of L%u accesses)\n", L + 1,
                 static_cast<unsigned long long>(S.Level[L].Misses),
                 100.0 * S.Level[L].missRatio(), L + 1);
-  std::printf("  simulated     %llu  warped %llu  (%.2f%% non-warped, "
-              "%llu warps)\n",
+  std::printf("  simulated     %llu  batched %llu  warped %llu  (%.2f%% "
+              "non-warped, %llu warps)\n",
               static_cast<unsigned long long>(S.SimulatedAccesses),
+              static_cast<unsigned long long>(S.BatchedAccesses),
               static_cast<unsigned long long>(S.WarpedAccesses),
               100.0 * S.nonWarpedShare(),
               static_cast<unsigned long long>(S.Warps));
