@@ -7,7 +7,7 @@
 // symbolic (tagged) hierarchy accesses per policy, one at a time and
 // batched, warp state-key hashing, Fourier-Motzkin minimization, and
 // stack-distance updates.
-// These quantify the constant factors behind the figure harnesses.
+// These quantify the constant factors behind the wcs-bench suites.
 //
 //===----------------------------------------------------------------------===//
 

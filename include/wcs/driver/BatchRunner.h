@@ -54,9 +54,9 @@ const char *backendName(SimBackend B);
 bool parseBackendName(const std::string &Name, SimBackend &Out);
 
 /// Strictly parses a worker-thread count (digits only, fits unsigned):
-/// the one parser behind --jobs and $WCS_JOBS, so tool and bench
-/// harnesses accept exactly the same inputs. Returns false on malformed
-/// input, leaving \p Out untouched.
+/// the one parser behind every --jobs flag, so the tools and wcs-bench
+/// accept exactly the same inputs. Returns false on malformed input,
+/// leaving \p Out untouched.
 bool parseJobCount(const char *Text, unsigned &Out);
 
 /// One unit of batch work: simulate \p Program on \p Cache with \p Backend.

@@ -76,6 +76,19 @@ struct SimStats {
     Level[1].Misses += C.L2Misses;
   }
 
+  /// True when both runs produced the same counters: the level count
+  /// plus every level's accesses and misses. Wall time and the warp
+  /// diagnostics legitimately differ between backends and runs.
+  bool countersEqual(const SimStats &O) const {
+    if (NumLevels != O.NumLevels)
+      return false;
+    for (unsigned L = 0; L < NumLevels; ++L)
+      if (Level[L].Accesses != O.Level[L].Accesses ||
+          Level[L].Misses != O.Level[L].Misses)
+        return false;
+    return true;
+  }
+
   uint64_t totalAccesses() const { return Level[0].Accesses; }
   /// Share of accesses that had to be simulated explicitly (Fig. 6 top).
   double nonWarpedShare() const {

@@ -283,4 +283,22 @@ TEST(WarpingSim, ScalarInclusionStaysExact) {
   }
 }
 
+TEST(SimStats, CountersEqualComparesLevelCountAndEveryLevel) {
+  SimStats One;
+  One.Level[0] = {100, 10};
+  SimStats Two = One;
+  Two.NumLevels = 2;
+  Two.Level[1] = {10, 4};
+  // Same L1 counters, but a one-level and a two-level run never agree.
+  EXPECT_FALSE(One.countersEqual(Two));
+  EXPECT_FALSE(Two.countersEqual(One));
+
+  SimStats TwoAgain = Two;
+  TwoAgain.Seconds = 1.5; // Wall time and warp diagnostics do not count.
+  TwoAgain.Warps = 3;
+  EXPECT_TRUE(Two.countersEqual(TwoAgain));
+  TwoAgain.Level[1].Misses = 5;
+  EXPECT_FALSE(Two.countersEqual(TwoAgain));
+}
+
 } // namespace

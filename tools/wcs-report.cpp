@@ -124,18 +124,6 @@ Timing entryTiming(const ResultEntry &E) {
   return {MS.mean(), MS.stderror(), MS.count()};
 }
 
-/// True when the two runs produced identical counters (everything except
-/// wall-clock, which legitimately varies run to run).
-bool countersEqual(const SimStats &A, const SimStats &B) {
-  if (A.NumLevels != B.NumLevels)
-    return false;
-  for (unsigned L = 0; L < A.NumLevels; ++L)
-    if (A.Level[L].Accesses != B.Level[L].Accesses ||
-        A.Level[L].Misses != B.Level[L].Misses)
-      return false;
-  return true;
-}
-
 //===----------------------------------------------------------------------===//
 // Sweep-document rendering (single-file mode)
 //===----------------------------------------------------------------------===//
@@ -555,7 +543,7 @@ int main(int argc, char **argv) {
       continue;
     }
     ++Compared;
-    bool Equal = countersEqual(B.Stats, C->Stats);
+    bool Equal = B.Stats.countersEqual(C->Stats);
     if (!Equal)
       ++Drifted;
     int64_t MissDelta = static_cast<int64_t>(totalMisses(C->Stats)) -
