@@ -6,7 +6,8 @@
 // google-benchmark microbenchmarks of the hot components: concrete and
 // symbolic (tagged) hierarchy accesses per policy, one at a time and
 // batched, warp state-key hashing, Fourier-Motzkin minimization, and
-// stack-distance updates.
+// stack-distance updates (the unbounded profiler and the bounded
+// per-set bank).
 // These quantify the constant factors behind the wcs-bench suites.
 //
 //===----------------------------------------------------------------------===//
@@ -174,6 +175,26 @@ void BM_StackDistance(benchmark::State &State) {
   State.SetItemsProcessed(State.iterations());
 }
 BENCHMARK(BM_StackDistance);
+
+/// One bounded-bank update on the same trace as BM_StackDistance; the
+/// arguments are (set count, depth).
+void BM_BankAccess(benchmark::State &State) {
+  std::vector<BlockId> T = streamTrace(1 << 16);
+  SetDistanceBank Bank(64, static_cast<unsigned>(State.range(0)),
+                       static_cast<unsigned>(State.range(1)));
+  size_t I = 0;
+  for (auto _ : State) {
+    Bank.accessBlock(T[I]);
+    I = (I + 1) & ((1 << 16) - 1);
+  }
+  benchmark::DoNotOptimize(Bank.missesForAssoc(1));
+  State.SetItemsProcessed(State.iterations());
+}
+BENCHMARK(BM_BankAccess)
+    ->Args({2, 8})
+    ->Args({64, 4})
+    ->Args({32, 16})
+    ->Args({1, 512});
 
 } // namespace
 

@@ -373,8 +373,9 @@ private:
   // Dirty bitset: WordsPerSet 64-bit words per physical set, so a set's
   // window never straddles another set's. Assoc <= 64 (every policy but
   // LRU, and most LRU configs) is a single-word fast path; the multi-word
-  // fallback (fully-associative LRU up to 4096 ways) moves bits
-  // individually -- the block-id memmove dominates there anyway.
+  // path (fully-associative LRU up to 4096 ways, and deep stack-distance
+  // banks) shifts whole words with a carry bit, so a hit or fill costs
+  // one word operation per 64 ways, like the block-id memmove it mirrors.
   //===------------------------------------------------------------------===//
 
   bool dirtyBit(unsigned Ph, unsigned W) const {
@@ -402,10 +403,20 @@ private:
       Word = (V & ~((2ull << I) - 1)) | (Low << 1) | HitBit;
       return;
     }
-    bool HitBit = dirtyBit(Ph, I);
-    for (unsigned J = I; J > 0; --J)
-      dirtyAssign(Ph, J, dirtyBit(Ph, J - 1));
-    dirtyAssign(Ph, 0, HitBit);
+    uint64_t *W = &DirtyBits[static_cast<size_t>(Ph) * WordsPerSet];
+    const unsigned WI = I >> 6, BI = I & 63;
+    const uint64_t V = W[WI];
+    const uint64_t HitBit = (V >> BI) & 1;
+    // The word holding way I rotates like the single-word case, taking
+    // its new low bit from the word below (or the hit bit itself); every
+    // word below shifts up by one with a carry.
+    const uint64_t CarryIn = WI == 0 ? HitBit : W[WI - 1] >> 63;
+    W[WI] = (V & ~((2ull << BI) - 1)) | ((V & ((1ull << BI) - 1)) << 1) |
+            CarryIn;
+    for (unsigned K = WI; K-- > 1;)
+      W[K] = (W[K] << 1) | (W[K - 1] >> 63);
+    if (WI != 0)
+      W[0] = (W[0] << 1) | HitBit;
   }
 
   /// LRU/FIFO fill: every bit shifts up one (the last drops out with the
@@ -416,9 +427,13 @@ private:
       Word = (Word << 1) & WayMask;
       return;
     }
-    for (unsigned J = Assoc - 1; J > 0; --J)
-      dirtyAssign(Ph, J, dirtyBit(Ph, J - 1));
-    dirtyAssign(Ph, 0, false);
+    uint64_t *W = &DirtyBits[static_cast<size_t>(Ph) * WordsPerSet];
+    for (unsigned K = WordsPerSet - 1; K > 0; --K)
+      W[K] = (W[K] << 1) | (W[K - 1] >> 63);
+    W[0] <<= 1;
+    // The way that dropped off the end must not linger above Assoc.
+    if (Assoc & 63)
+      W[WordsPerSet - 1] &= (1ull << (Assoc & 63)) - 1;
   }
 
   /// LRU/FIFO invalidate at way \p I: bits above close the gap.

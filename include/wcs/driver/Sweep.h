@@ -13,25 +13,28 @@
 ///  - Single-level write-allocate LRU points are answered analytically
 ///    from shared stack-distance passes: a per-set stack-distance bank
 ///    (SetDistanceBank) per distinct (block size, set count) geometry,
-///    and every associativity of a geometry -- and thus every capacity
-///    point -- falls out of the Mattson inclusion property without
-///    further work. K LRU capacity points cost one shared pass instead
-///    of K simulations. The pass itself comes in two flavors: for long
-///    traces (decided by a cheap counting pre-walk) each bank is
-///    produced by a warp-aware periodic pass (trace/PeriodicPass) that
-///    skips periodic trace phases analytically and is sublinear in
-///    trace length like warping itself; short traces, and sweeps with
-///    WarpSweep off, use ONE linear trace walk feeding all banks.
-///    Both flavors are bit-identical.
+///    its per-set LRU stacks as deep as the largest associativity any
+///    point asks of that geometry, and every associativity up to that
+///    depth -- and thus every capacity point -- falls out of the Mattson
+///    inclusion property without further work. K LRU capacity points
+///    cost one shared pass instead of K simulations. The pass itself
+///    comes in two flavors: for long traces (decided by a cheap
+///    counting pre-walk) each bank is produced by a warp-aware periodic
+///    pass (trace/PeriodicPass) that skips periodic trace phases
+///    analytically and is sublinear in trace length like warping
+///    itself; short traces, and sweeps with WarpSweep off, use ONE
+///    linear trace walk feeding all banks. Both flavors are
+///    bit-identical.
 ///
 ///  - Two-level NINE points are grouped by their L1 configuration: the
 ///    L1-miss-filtered access stream of each distinct L1 is recorded
 ///    ONCE (trace/FilteredStream) and answers every L2 sharing that L1
 ///    -- LRU write-allocate L2s analytically from stack-distance banks
-///    conditioned on the stream, all other L2s by replaying the (much
-///    shorter) recorded stream through a concrete L2 as deduplicated
-///    BatchRunner jobs. K two-level points over G distinct L1s cost G
-///    L1 simulations plus cheap replays instead of K full simulations.
+///    (sized the same way) conditioned on the stream, all other L2s by
+///    replaying the (much shorter) recorded stream through a concrete
+///    L2 as deduplicated BatchRunner jobs. K two-level points over G
+///    distinct L1s cost G L1 simulations plus cheap replays instead of
+///    K full simulations.
 ///
 ///  - All remaining points (single-level FIFO / PLRU / QLRU,
 ///    no-write-allocate LRU, inclusive/exclusive hierarchies, and

@@ -31,10 +31,11 @@
 ///    itself across one repetition (an exact state comparison), then
 ///    apply the remaining repetitions analytically; if the state never
 ///    recurs, every repetition is walked -- the sound fallback.
-///  - feed(): conditions a per-set stack-distance bank on the stream.
-///    Repeated segments walk twice (the second repetition under a
-///    period capture) and enter the bank's bulk update
-///    (SetDistanceBank::addPeriodicContribution) for the rest.
+///  - feed(): conditions a bounded per-set stack-distance bank on the
+///    stream by the same walk: once the bank's LRU stacks recur across
+///    a repetition (after the first, for a verbatim repeat), the
+///    captured increments of that repetition enter the bank's bulk
+///    update (SetDistanceBank::addPeriodicContribution) for the rest.
 ///
 /// Inclusive and exclusive hierarchies couple the L1 to the L2
 /// (back-invalidation, victim caching), so their L1 streams depend on
@@ -151,9 +152,9 @@ public:
   /// Conditions \p Bank on the (expanded) stream. The bank's block size
   /// must equal the L1's: levels of a hierarchy share one block size,
   /// so records are already at L2 block granularity. Repeated segments
-  /// are applied analytically after two concrete walks (see file
-  /// comment), so the cost is sublinear in size() on periodic streams
-  /// while the conditioned bank stays bit-identical.
+  /// are applied analytically once the bank's stack state recurs (see
+  /// file comment), so the cost is sublinear in size() on periodic
+  /// streams while the conditioned bank stays bit-identical.
   void feed(SetDistanceBank &Bank) const;
 
   /// Replays the stream through a concrete L2 \p L2 and returns the
@@ -171,6 +172,16 @@ private:
   /// Period-compresses the trailing literal segment in place. Returns
   /// the number of stored records freed.
   size_t compressTail();
+  /// The segment walker behind feed() and replay(): passes every record
+  /// of the expanded stream to \p Step, except that a folded segment
+  /// stops walking once one repetition maps \p State (the cache \p Step
+  /// drives) onto itself; \p BeginRep() runs before each such probed
+  /// repetition and \p Skip(N) must then account the remaining N
+  /// repetitions as copies of it, returning false to walk them instead.
+  /// Returns the number of records walked.
+  template <typename StepFn, typename BeginRepFn, typename SkipFn>
+  uint64_t walkSegments(const ConcreteCache &State, StepFn Step,
+                        BeginRepFn BeginRep, SkipFn Skip) const;
 
   CacheConfig L1;
   LevelStats L1Stats;

@@ -63,8 +63,9 @@ struct PeriodicPassResult {
   /// cost, Stats.WarpedAccesses / Warps its periodicity diagnostics.
   SimStats Stats;
 
-  /// Misses of the profiled geometry at \p Assoc ways
-  /// (requires Assoc <= MaxAssoc).
+  /// Misses of the profiled geometry at \p Assoc ways. Throws
+  /// std::invalid_argument when Assoc > MaxAssoc: the truncated
+  /// histogram would undercount those misses.
   uint64_t missesForAssoc(uint64_t Assoc) const;
 
   /// Conditions \p Bank (of the same geometry) on the pass result: one

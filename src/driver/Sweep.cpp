@@ -102,18 +102,42 @@ SweepReport wcs::runSweep(const ScopProgram &Program,
 
   // Partition the grid three ways:
   //  - single-level write-allocate LRU: answered from a per-set
-  //    stack-distance bank keyed on (block size, set count), produced
-  //    by a shared pass (periodic warp-aware per bank, or one linear
-  //    walk feeding all banks -- see below);
+  //    stack-distance bank keyed on (block size, set count) and bounded
+  //    at the deepest associativity any point asks of it, produced by
+  //    a shared pass (periodic warp-aware per bank, or one linear walk
+  //    feeding all banks -- see below);
   //  - two-level NINE: grouped by L1 config; each group records the
   //    L1-miss-filtered stream once, then answers LRU write-allocate
-  //    L2s from banks conditioned on the stream and replays the rest
-  //    through deduplicated BatchRunner jobs;
+  //    L2s from banks conditioned on the stream (sized the same way)
+  //    and replays the rest through deduplicated BatchRunner jobs;
   //  - everything else: a simulation job, deduplicated by exact
   //    configuration.
-  std::vector<SetDistanceBank> Banks;
-  std::vector<unsigned> BankMaxAssoc; ///< Largest ways asked of each bank.
-  std::map<std::pair<unsigned, unsigned>, size_t> BankIndex;
+  // Banks are built once partitioning has seen every point, so each
+  // knows its depth.
+  struct BankSpec {
+    unsigned BlockBytes, NumSets, MaxAssoc;
+  };
+  using BankKey = std::pair<unsigned, unsigned>;
+  auto noteBank = [](std::vector<BankSpec> &Specs,
+                     std::map<BankKey, size_t> &Index,
+                     const CacheConfig &C) {
+    auto [It, New] =
+        Index.emplace(BankKey(C.BlockBytes, C.numSets()), Specs.size());
+    if (New)
+      Specs.push_back(BankSpec{C.BlockBytes, C.numSets(), 0});
+    BankSpec &S = Specs[It->second];
+    S.MaxAssoc = std::max(S.MaxAssoc, C.Assoc);
+    return It->second;
+  };
+  auto buildBanks = [](const std::vector<BankSpec> &Specs) {
+    std::vector<SetDistanceBank> Out;
+    Out.reserve(Specs.size());
+    for (const BankSpec &S : Specs)
+      Out.emplace_back(S.BlockBytes, S.NumSets, S.MaxAssoc);
+    return Out;
+  };
+  std::vector<BankSpec> BankSpecs;
+  std::map<BankKey, size_t> BankIndex;
   struct FastPoint {
     size_t Point;
     size_t Bank;
@@ -129,8 +153,9 @@ SweepReport wcs::runSweep(const ScopProgram &Program,
     std::vector<size_t> Members; ///< All input indices sharing this L1.
     std::vector<AnalyticPoint> Analytic;
     std::vector<size_t> ReplayPoints;
+    std::vector<BankSpec> BankSpecs;
+    std::map<BankKey, size_t> BankIndex;
     std::vector<SetDistanceBank> Banks; ///< Conditioned on the stream.
-    std::map<std::pair<unsigned, unsigned>, size_t> BankIndex;
     FilteredStream Stream;
     double FeedSeconds = 0.0;
     /// Recording/feeding threw: the stream is unusable, exactly like a
@@ -157,16 +182,7 @@ SweepReport wcs::runSweep(const ScopProgram &Program,
         L1.WriteAlloc == WriteAllocate::Yes) {
       P.Method = SweepMethod::StackDistance;
       P.Backend = SimBackend::StackDistance;
-      auto Key = std::make_pair(L1.BlockBytes, L1.numSets());
-      auto It = BankIndex.find(Key);
-      if (It == BankIndex.end()) {
-        It = BankIndex.emplace(Key, Banks.size()).first;
-        Banks.emplace_back(L1.BlockBytes, L1.numSets());
-        BankMaxAssoc.push_back(0);
-      }
-      BankMaxAssoc[It->second] =
-          std::max(BankMaxAssoc[It->second], L1.Assoc);
-      Fast.push_back(FastPoint{I, It->second});
+      Fast.push_back(FastPoint{I, noteBank(BankSpecs, BankIndex, L1)});
       continue;
     }
     if (H.numLevels() == 2 &&
@@ -184,13 +200,8 @@ SweepReport wcs::runSweep(const ScopProgram &Program,
       const CacheConfig &L2 = H.Levels[1];
       if (FilteredStream::l2IsAnalytic(L2)) {
         P.Backend = SimBackend::StackDistance;
-        auto BKey = std::make_pair(L2.BlockBytes, L2.numSets());
-        auto BIt = G.BankIndex.find(BKey);
-        if (BIt == G.BankIndex.end()) {
-          BIt = G.BankIndex.emplace(BKey, G.Banks.size()).first;
-          G.Banks.emplace_back(L2.BlockBytes, L2.numSets());
-        }
-        G.Analytic.push_back(AnalyticPoint{I, BIt->second});
+        G.Analytic.push_back(
+            AnalyticPoint{I, noteBank(G.BankSpecs, G.BankIndex, L2)});
       } else {
         P.Backend = SimBackend::Concrete;
         G.ReplayPoints.push_back(I);
@@ -201,6 +212,9 @@ SweepReport wcs::runSweep(const ScopProgram &Program,
     P.Backend = Opts.Backend;
     PlainSim.push_back(I);
   }
+  std::vector<SetDistanceBank> Banks = buildBanks(BankSpecs);
+  for (FilteredGroup &G : Groups)
+    G.Banks = buildBanks(G.BankSpecs);
   PartitionSpan.arg("banks", static_cast<uint64_t>(Banks.size()));
   PartitionSpan.arg("l1_groups", static_cast<uint64_t>(Groups.size()));
   PartitionSpan.arg("plain_sim", static_cast<uint64_t>(PlainSim.size()));
@@ -260,15 +274,14 @@ SweepReport wcs::runSweep(const ScopProgram &Program,
       std::vector<std::function<void()>> Tasks;
       Tasks.reserve(Banks.size());
       for (size_t B = 0; B < Banks.size(); ++B)
-        Tasks.push_back([&Program, &Opts, &PassResults, &Banks,
-                         &BankMaxAssoc, &PassFailed, B] {
+        Tasks.push_back([&Program, &Opts, &PassResults, &BankSpecs,
+                         &PassFailed, B] {
           telemetry::Span PassSpan("sweep.periodic-bank");
           PassSpan.arg("bank", static_cast<uint64_t>(B));
           try {
-            PassResults[B] =
-                runPeriodicPass(Program, Banks[B].blockBytes(),
-                                Banks[B].numSets(), BankMaxAssoc[B],
-                                Opts.Sim);
+            PassResults[B] = runPeriodicPass(
+                Program, BankSpecs[B].BlockBytes, BankSpecs[B].NumSets,
+                BankSpecs[B].MaxAssoc, Opts.Sim);
           } catch (...) {
             PassFailed[B] = 1;
           }

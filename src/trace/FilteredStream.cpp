@@ -34,11 +34,11 @@ struct RecordCapExceeded {};
 constexpr uint64_t MinFoldReps = 2;
 constexpr uint64_t MinFoldRecords = 64;
 
-/// Replay walks at most this many repetitions of a folded segment while
-/// probing for a state recurrence before giving up and walking the rest
+/// Feed and replay probe at most this many repetitions of a folded
+/// segment for a state recurrence before giving up and walking the rest
 /// (FIFO insertion orders, for example, can cycle with a longer period
 /// than the stream's).
-constexpr unsigned MaxReplayStateChecks = 8;
+constexpr unsigned MaxStateChecks = 8;
 
 } // namespace
 
@@ -227,41 +227,62 @@ bool FilteredStream::answersHierarchy(const HierarchyConfig &H,
   return true;
 }
 
+template <typename StepFn, typename BeginRepFn, typename SkipFn>
+uint64_t FilteredStream::walkSegments(const ConcreteCache &State,
+                                      StepFn Step, BeginRepFn BeginRep,
+                                      SkipFn Skip) const {
+  uint64_t Walked = 0;
+  for (const FilteredSegment &Seg : Segments) {
+    auto WalkOnce = [&] {
+      for (uint64_t I = 0; I < Seg.Len; ++I)
+        Step(Records[Seg.Offset + I]);
+      Walked += Seg.Len;
+    };
+    // Walk repetitions until the state maps onto itself across one
+    // repetition. From a fixed point, every further repetition
+    // reproduces the last one's outcome (same input from the same
+    // state), so Skip applies the remainder analytically. If the state
+    // never recurs within the probe limit, or Skip refuses (its scaled
+    // counters would overflow), walk everything -- the sound fallback.
+    WalkOnce();
+    uint64_t Done = 1;
+    if (Done + 1 < Seg.Reps) {
+      ConcreteCache Prev = State;
+      for (unsigned Checks = 0;
+           Done + 1 < Seg.Reps && Checks < MaxStateChecks;
+           ++Checks) {
+        BeginRep();
+        WalkOnce();
+        ++Done;
+        if (State.stateEquals(Prev) && Skip(Seg.Reps - Done)) {
+          Done = Seg.Reps;
+          break;
+        }
+        Prev = State;
+      }
+    }
+    for (; Done < Seg.Reps; ++Done)
+      WalkOnce();
+  }
+  return Walked;
+}
+
 void FilteredStream::feed(SetDistanceBank &Bank) const {
   assert(!Truncated && "cannot condition a bank on a truncated stream");
   assert(Bank.blockBytes() == L1.BlockBytes &&
          "bank block size must equal the recorded L1's");
-  for (const FilteredSegment &S : Segments) {
-    auto Walk = [&] {
-      for (uint64_t I = 0; I < S.Len; ++I)
-        Bank.accessBlock(Records[S.Offset + I].Block);
-    };
-    if (S.Reps <= 2) {
-      for (uint64_t R = 0; R < S.Reps; ++R)
-        Walk();
-      continue;
-    }
-    // Repetition 1 enters from whatever state the stream prefix left;
-    // repetition 2 is the stationary one whose increments every later
-    // repetition copies (see the periodic-bulk-update comment in
-    // StackDistance.h). Capture it and apply the rest analytically.
-    Walk();
-    Bank.beginPeriodCapture();
-    Walk();
-    DistanceHistogram H = Bank.endPeriodCapture();
-    if (H.Colds != 0 || !Bank.addPeriodicContribution(H, S.Reps - 2)) {
-      // A repetition of an identical block sequence cannot touch a new
-      // block, so a cold here falsifies the period hypothesis. It is
-      // unreachable for verbatim RLE segments, but the check is the
-      // verification discipline: reject and fall back to walking. The
-      // same fallback covers a bulk update the bank rejects because the
-      // scaled counters would overflow (the walked path increments by
-      // one per access and cannot).
-      for (uint64_t R = 2; R < S.Reps; ++R)
-        Walk();
-      continue;
-    }
-  }
+  // A verbatim repetition maps bounded LRU stacks onto a fixed point
+  // after one walk (see the periodic-bulk-update comment in
+  // StackDistance.h), so the state check passes on the first probe;
+  // the check is the verification discipline all the same.
+  walkSegments(
+      Bank.stacks(),
+      [&](const FilteredRecord &R) { Bank.accessBlock(R.Block); },
+      [&] { Bank.beginPeriodCapture(); },
+      [&](uint64_t Remaining) {
+        return Bank.addPeriodicContribution(Bank.endPeriodCapture(),
+                                            Remaining);
+      });
 }
 
 SimStats FilteredStream::replay(const CacheConfig &L2) const {
@@ -274,53 +295,21 @@ SimStats FilteredStream::replay(const CacheConfig &L2) const {
   S.Level[0] = L1Stats;
   S.Level[1].Accesses = Expanded;
   ConcreteCache Cache(L2);
-  uint64_t Misses = 0, Walked = 0;
+  uint64_t Misses = 0, RepStart = 0;
   // Mirror of ConcreteHierarchy's NINE L2 leg: the L2 sees the same
   // block, allocating unless a write miss under no-write-allocate.
-  auto WalkOnce = [&](const FilteredSegment &Seg) {
-    for (uint64_t I = 0; I < Seg.Len; ++I) {
-      const FilteredRecord &R = Records[Seg.Offset + I];
-      bool Alloc = !(R.IsWrite && L2.WriteAlloc == WriteAllocate::No);
-      AccessOutcome O = Cache.access(R.Block, Alloc);
-      if (!O.Hit)
-        ++Misses;
-    }
-    Walked += Seg.Len;
-  };
-  for (const FilteredSegment &Seg : Segments) {
-    if (Seg.Reps == 1) {
-      WalkOnce(Seg);
-      continue;
-    }
-    // Walk repetitions until the L2 state maps onto itself across one
-    // repetition. From a fixed point, every further repetition
-    // reproduces the same misses (same input from the same state), so
-    // the remainder is applied analytically. If the state never recurs
-    // within the probe limit, walk everything -- the sound fallback.
-    uint64_t Done = 0;
-    WalkOnce(Seg);
-    ++Done;
-    unsigned Checks = 0;
-    ConcreteCache Prev = Cache;
-    while (Done < Seg.Reps) {
-      uint64_t M0 = Misses;
-      WalkOnce(Seg);
-      ++Done;
-      uint64_t PerRep = Misses - M0;
-      if (Cache.stateEquals(Prev)) {
-        Misses += PerRep * (Seg.Reps - Done);
-        break;
-      }
-      if (++Checks >= MaxReplayStateChecks) {
-        while (Done < Seg.Reps) {
-          WalkOnce(Seg);
-          ++Done;
-        }
-        break;
-      }
-      Prev = Cache;
-    }
-  }
+  uint64_t Walked = walkSegments(
+      Cache,
+      [&](const FilteredRecord &R) {
+        bool Alloc = !(R.IsWrite && L2.WriteAlloc == WriteAllocate::No);
+        if (!Cache.access(R.Block, Alloc).Hit)
+          ++Misses;
+      },
+      [&] { RepStart = Misses; },
+      [&](uint64_t Remaining) {
+        Misses += (Misses - RepStart) * Remaining;
+        return true;
+      });
   S.Level[1].Misses = Misses;
   // Records actually walked; repetitions answered from a recurred state
   // are analytic work, like warped accesses elsewhere.

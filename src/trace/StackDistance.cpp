@@ -11,20 +11,17 @@
 #include "wcs/support/Telemetry.h"
 #include "wcs/trace/TraceGenerator.h"
 
-#include <cassert>
+#include <stdexcept>
+#include <string>
 
 using namespace wcs;
 
-StackDistanceProfiler::StackDistanceProfiler(unsigned BlockBytes,
-                                             size_t InitialTreeCapacity)
-    : BlockShift(log2Exact(BlockBytes)) {
-  // The growth step in bitAdd doubles and seeds the new root with the
-  // tree total, which is only correct when the size is a power of two.
-  size_t Cap = 2;
-  while (Cap < InitialTreeCapacity)
-    Cap *= 2;
-  Bit.resize(Cap, 0);
-}
+StackDistanceProfiler::StackDistanceProfiler(unsigned BlockBytes)
+    : BlockShift(log2Exact(BlockBytes)),
+      // The growth step in bitAdd doubles and seeds the new root with
+      // the tree total, which is only correct when the size is a power
+      // of two.
+      Bit(1024, 0) {}
 
 void StackDistanceProfiler::bitAdd(uint64_t Pos, int64_t Val) {
   // Grow by doubling. A new power-of-two node P covers the range (0, P],
@@ -79,62 +76,88 @@ uint64_t StackDistanceProfiler::missesForAssoc(uint64_t Assoc) const {
   return M;
 }
 
-SetDistanceBank::SetDistanceBank(unsigned BlockBytes, unsigned NumSets)
-    : BlockShift(log2Exact(BlockBytes)), SetMask(NumSets - 1) {
-  assert(NumSets != 0 && (NumSets & (NumSets - 1)) == 0 &&
-         "set count must be a power of two (modulo placement)");
-  // Small initial trees: a bank with thousands of sets would otherwise
-  // pay 8 KiB per set before the first access.
-  Sets.reserve(NumSets);
-  for (unsigned S = 0; S < NumSets; ++S)
-    Sets.emplace_back(BlockBytes, NumSets > 1 ? 64 : 1024);
+namespace {
+
+/// The LRU configuration of a bank's stacks, validated up front so a bad
+/// geometry is refused in every build mode instead of reaching the
+/// cache's debug-only assertion.
+CacheConfig bankStackConfig(unsigned BlockBytes, unsigned NumSets,
+                            unsigned MaxAssoc) {
+  if (NumSets == 0 || !isPowerOf2(NumSets))
+    throw std::invalid_argument(
+        "stack-distance bank: set count must be a power of two "
+        "(modulo placement)");
+  if (MaxAssoc == 0)
+    throw std::invalid_argument(
+        "stack-distance bank: depth must be at least one way");
+  CacheConfig C;
+  C.BlockBytes = BlockBytes;
+  C.Assoc = MaxAssoc;
+  C.SizeBytes = static_cast<uint64_t>(BlockBytes) * NumSets * MaxAssoc;
+  C.Policy = PolicyKind::Lru;
+  C.WriteAlloc = WriteAllocate::Yes;
+  if (std::string E = C.validate(); !E.empty())
+    throw std::invalid_argument("stack-distance bank: " + E);
+  return C;
+}
+
+} // namespace
+
+SetDistanceBank::SetDistanceBank(unsigned BlockBytes, unsigned NumSets,
+                                 unsigned MaxAssoc)
+    : Stack(bankStackConfig(BlockBytes, NumSets, MaxAssoc)),
+      BlockShift(log2Exact(BlockBytes)), Hist(MaxAssoc, 0),
+      TruncAssoc(MaxAssoc) {}
+
+DistanceHistogram SetDistanceBank::endPeriodCapture() const {
+  DistanceHistogram H;
+  H.Hist = Hist;
+  for (size_t D = 0; D < CaptureBase.Hist.size(); ++D)
+    H.Hist[D] -= CaptureBase.Hist[D];
+  H.Beyond = AlwaysMiss - CaptureBase.Beyond;
+  H.Accesses = Total - CaptureBase.Accesses;
+  return H;
 }
 
 bool SetDistanceBank::addPeriodicContribution(const DistanceHistogram &H,
                                               uint64_t Reps,
                                               unsigned TruncatedAtAssoc) {
-  assert(!Capturing && "cannot bulk-update while capturing a period");
   // Validate every scaled accumulation before applying any of them, so
   // a rejected update leaves the bank exactly as it was (the caller
   // falls back to walking the repetitions against this same bank).
   uint64_t Scaled, Accum;
   for (size_t D = 0; D < H.Hist.size(); ++D) {
-    uint64_t Cur = D < BulkHist.size() ? BulkHist[D] : 0;
+    uint64_t Cur = D < Hist.size() ? Hist[D] : 0;
     if (__builtin_mul_overflow(H.Hist[D], Reps, &Scaled) ||
         __builtin_add_overflow(Cur, Scaled, &Accum))
       return false;
   }
-  // Colds and beyond-truncation distances both miss at every
-  // associativity the bank may answer afterwards.
-  uint64_t AlwaysMiss;
-  if (__builtin_add_overflow(H.Beyond, H.Colds, &AlwaysMiss) ||
-      __builtin_mul_overflow(AlwaysMiss, Reps, &Scaled) ||
-      __builtin_add_overflow(BulkAlwaysMiss, Scaled, &Accum))
+  if (__builtin_mul_overflow(H.Beyond, Reps, &Scaled) ||
+      __builtin_add_overflow(AlwaysMiss, Scaled, &Accum))
     return false;
   if (__builtin_mul_overflow(H.Accesses, Reps, &Scaled) ||
       __builtin_add_overflow(Total, Scaled, &Accum))
     return false;
 
-  if (BulkHist.size() < H.Hist.size())
-    BulkHist.resize(H.Hist.size(), 0);
+  if (Hist.size() < H.Hist.size())
+    Hist.resize(H.Hist.size(), 0);
   for (size_t D = 0; D < H.Hist.size(); ++D)
-    BulkHist[D] += H.Hist[D] * Reps;
-  BulkAlwaysMiss += (H.Beyond + H.Colds) * Reps;
+    Hist[D] += H.Hist[D] * Reps;
+  AlwaysMiss += H.Beyond * Reps;
   Total += H.Accesses * Reps;
-  if (TruncatedAtAssoc != 0 &&
-      (TruncAssoc == 0 || TruncatedAtAssoc < TruncAssoc))
+  if (TruncatedAtAssoc != 0 && TruncatedAtAssoc < TruncAssoc)
     TruncAssoc = TruncatedAtAssoc;
   return true;
 }
 
 uint64_t SetDistanceBank::missesForAssoc(uint64_t Assoc) const {
-  assert((TruncAssoc == 0 || Assoc <= TruncAssoc) &&
-         "bank is truncated below the requested associativity");
-  uint64_t M = BulkAlwaysMiss;
-  for (uint64_t D = Assoc; D < BulkHist.size(); ++D)
-    M += BulkHist[D];
-  for (const StackDistanceProfiler &P : Sets)
-    M += P.missesForAssoc(Assoc);
+  if (Assoc > TruncAssoc)
+    throw std::invalid_argument(
+        "stack-distance bank is truncated below the requested "
+        "associativity");
+  uint64_t M = AlwaysMiss;
+  for (uint64_t D = Assoc; D < Hist.size(); ++D)
+    M += Hist[D];
   return M;
 }
 
@@ -142,11 +165,14 @@ bool SetDistanceBank::matches(const CacheConfig &C) const {
   return C.Policy == PolicyKind::Lru &&
          C.WriteAlloc == WriteAllocate::Yes &&
          C.BlockBytes == blockBytes() && C.numSets() == numSets() &&
-         (TruncAssoc == 0 || C.Assoc <= TruncAssoc);
+         C.Assoc <= TruncAssoc;
 }
 
 uint64_t SetDistanceBank::missesForCache(const CacheConfig &C) const {
-  assert(matches(C) && "config does not match the bank geometry");
+  if (!matches(C))
+    throw std::invalid_argument("config " + C.str() +
+                                " is not answerable from the "
+                                "stack-distance bank");
   return missesForAssoc(C.Assoc);
 }
 
@@ -168,10 +194,11 @@ StackDistanceProfiler wcs::profileProgram(const ScopProgram &Program,
 SetDistanceBank wcs::profileProgramSets(const ScopProgram &Program,
                                         unsigned BlockBytes,
                                         unsigned NumSets,
+                                        unsigned MaxAssoc,
                                         bool IncludeScalars,
                                         double *Seconds) {
   telemetry::TimePoint Start = telemetry::now();
-  SetDistanceBank Bank(BlockBytes, NumSets);
+  SetDistanceBank Bank(BlockBytes, NumSets, MaxAssoc);
   TraceOptions TO;
   TO.IncludeScalars = IncludeScalars;
   generateTrace(Program, TO,

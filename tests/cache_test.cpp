@@ -13,6 +13,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <random>
 #include <stdexcept>
 
 using namespace wcs;
@@ -155,6 +157,43 @@ TEST(ConcreteCache, NonAllocatingAccessLeavesStateUnchanged) {
   EXPECT_FALSE(C.access(10, false).Hit);
   EXPECT_FALSE(C.access(10, true).Hit) << "bypassed write did not allocate";
   EXPECT_TRUE(C.access(10, false).Hit);
+}
+
+/// LRU sets wider than 64 ways keep their dirty bits in several words;
+/// hits, fills and evictions must carry each bit along with its line
+/// across word boundaries. Checked against a plain recency list.
+TEST(ConcreteCache, WideLruSetsCarryDirtyBitsAcrossWords) {
+  std::mt19937 Rng(64);
+  for (unsigned Assoc : {65u, 128u, 200u}) {
+    CacheConfig C{static_cast<uint64_t>(Assoc) * 64, Assoc, 64,
+                  PolicyKind::Lru, WriteAllocate::Yes};
+    ConcreteCache Cache(C);
+    std::vector<std::pair<BlockId, bool>> Ref; ///< Most recent first.
+    for (int Step = 0; Step < 20000; ++Step) {
+      BlockId B = static_cast<BlockId>(Rng() % (Assoc + Assoc / 4));
+      bool Write = Rng() % 3 == 0;
+      AccessOutcome O = Cache.access(B, /*Allocate=*/true);
+      auto It = std::find_if(Ref.begin(), Ref.end(),
+                             [B](const auto &L) { return L.first == B; });
+      ASSERT_EQ(O.Hit, It != Ref.end()) << "assoc " << Assoc;
+      bool Dirty = false;
+      if (It != Ref.end()) {
+        Dirty = It->second;
+        Ref.erase(It);
+      } else if (Ref.size() == Assoc) {
+        ASSERT_TRUE(O.EvictedValid);
+        ASSERT_EQ(O.EvictedBlock, Ref.back().first);
+        ASSERT_EQ(O.EvictedDirty, Ref.back().second) << "assoc " << Assoc;
+        Ref.pop_back();
+      }
+      Ref.insert(Ref.begin(), {B, Dirty || Write});
+      Cache.orDirtyAt(O.Set, O.Way, Write);
+    }
+    for (unsigned W = 0; W < Ref.size(); ++W) {
+      ASSERT_EQ(Cache.blockAt(0, W), Ref[W].first);
+      ASSERT_EQ(Cache.dirtyAt(0, W), Ref[W].second) << "way " << W;
+    }
+  }
 }
 
 TEST(ConcreteCache, RotateSetsMovesContentLogically) {

@@ -131,7 +131,7 @@ TEST(FilteredStream, ConditionedBankMatchesConcreteLruL2) {
   CacheConfig L1{512, 2, 64, PolicyKind::Lru, WriteAllocate::Yes};
   FilteredStream FS = FilteredStream::record(P, L1);
   for (unsigned L2Sets : {1u, 4u, 16u}) {
-    SetDistanceBank Bank(64, L2Sets);
+    SetDistanceBank Bank(64, L2Sets, 8);
     FS.feed(Bank);
     EXPECT_EQ(Bank.totalAccesses(), FS.size());
     for (unsigned L2Assoc : {2u, 8u}) {
@@ -249,7 +249,7 @@ TEST(FilteredStreamRle, CompressesPeriodicStreamsExactly) {
     ASSERT_TRUE(FS.answersHierarchy(H));
     expectStatsMatchConcrete(P, H, FS.replay(L2), "RLE replay");
   }
-  SetDistanceBank Bank(64, 4);
+  SetDistanceBank Bank(64, 4, 16);
   FS.feed(Bank);
   EXPECT_EQ(Bank.totalAccesses(), FS.size());
   CacheConfig L2{16 * 4 * 64, 16, 64, PolicyKind::Lru,
@@ -257,6 +257,38 @@ TEST(FilteredStreamRle, CompressesPeriodicStreamsExactly) {
   ConcreteSimulator Sim(P, HierarchyConfig::twoLevel(L1, L2));
   SimStats Ref = Sim.run();
   EXPECT_EQ(Bank.missesForCache(L2), Ref.Level[1].Misses);
+}
+
+/// Feeding the folded segments (bulk updates after a verified state
+/// recurrence) must leave a bank bit-identical to feeding the fully
+/// expanded stream record by record: same histogram at every
+/// associativity up to the depth, and the same stack state.
+TEST(FilteredStreamRle, FoldedFeedMatchesExpandedFeed) {
+  ScopProgram P = timeSteppedProgram(/*Steps=*/12, /*Elems=*/2048);
+  CacheConfig L1{1024, 4, 64, PolicyKind::Lru, WriteAllocate::Yes};
+  FilteredStream FS = FilteredStream::record(P, L1);
+  ASSERT_FALSE(FS.truncated());
+  bool DeepFold = false;
+  for (const FilteredSegment &S : FS.segments())
+    DeepFold |= S.Reps > 2;
+  ASSERT_TRUE(DeepFold) << "the stream must fold more than two repetitions";
+  struct Geometry {
+    unsigned Sets, Depth;
+  };
+  for (Geometry G : {Geometry{1, 8}, Geometry{4, 16}, Geometry{16, 4},
+                     Geometry{1, 512}, Geometry{64, 8}}) {
+    SetDistanceBank Folded(64, G.Sets, G.Depth), Expanded(64, G.Sets,
+                                                           G.Depth);
+    FS.feed(Folded);
+    FS.forEachRecord(
+        [&](const FilteredRecord &R) { Expanded.accessBlock(R.Block); });
+    ASSERT_EQ(Folded.totalAccesses(), Expanded.totalAccesses());
+    EXPECT_TRUE(Folded.stacks().stateEquals(Expanded.stacks()))
+        << "sets " << G.Sets << " depth " << G.Depth;
+    for (unsigned A = 1; A <= G.Depth; ++A)
+      ASSERT_EQ(Folded.missesForAssoc(A), Expanded.missesForAssoc(A))
+          << "sets " << G.Sets << " depth " << G.Depth << " assoc " << A;
+  }
 }
 
 TEST(FilteredStreamRle, ForEachRecordExpandsInOrder) {

@@ -7,18 +7,24 @@
 // against ground truth from two directions: hand-computed distances on
 // tiny traces, and a seeded property test cross-checking the derived
 // fully-associative LRU miss counts against ConcreteSimulator over
-// randomized programs and associativities.
+// randomized programs and associativities. The bounded per-set bank of
+// the sweep fast path is checked differentially against both, plus its
+// Release-mode guards.
 //
 //===----------------------------------------------------------------------===//
 
 #include "RandomProgram.h"
 #include "wcs/sim/ConcreteSimulator.h"
+#include "wcs/trace/PeriodicPass.h"
 #include "wcs/trace/StackDistance.h"
+#include "wcs/trace/TraceGenerator.h"
 
 #include <gtest/gtest.h>
 
+#include <map>
 #include <numeric>
 #include <random>
+#include <stdexcept>
 
 using namespace wcs;
 using testutil::generateProgram;
@@ -69,14 +75,14 @@ TEST(StackDistance, PeriodCaptureAndBulkUpdateMatchLinearWalk) {
   // re-touches both periodic and pre-periodic blocks. The bulk-updated
   // bank walks P only twice (the second under capture) and applies the
   // other three repetitions analytically; it must agree with the
-  // linearly walked twin at every associativity, including on the
-  // suffix distances (the profilers' markers stay equivalent).
+  // linearly walked twin at every associativity up to the depth,
+  // including on the suffix distances (the stacks stay equivalent).
   const std::vector<BlockId> Prefix = {0, 1, 2};
   const std::vector<BlockId> Period = {3, 4, 5, 3, 6};
   const std::vector<BlockId> Suffix = {1, 4, 0, 6};
   const uint64_t Reps = 5;
 
-  SetDistanceBank Linear(64, 2), Bulk(64, 2);
+  SetDistanceBank Linear(64, 2, 16), Bulk(64, 2, 16);
   auto Walk = [](SetDistanceBank &B, const std::vector<BlockId> &Seq) {
     for (BlockId Blk : Seq)
       B.accessBlock(Blk);
@@ -88,16 +94,18 @@ TEST(StackDistance, PeriodCaptureAndBulkUpdateMatchLinearWalk) {
 
   Walk(Bulk, Prefix);
   Walk(Bulk, Period); // Repetition 1: entered from the prefix state.
+  ConcreteCache Before = Bulk.stacks();
   Bulk.beginPeriodCapture();
   Walk(Bulk, Period); // Repetition 2: the stationary one.
   DistanceHistogram H = Bulk.endPeriodCapture();
-  EXPECT_EQ(H.Colds, 0u) << "identical repetition cannot touch new blocks";
+  EXPECT_TRUE(Bulk.stacks().stateEquals(Before))
+      << "identical repetition must map the stacks onto a fixed point";
   EXPECT_EQ(H.Accesses, Period.size());
   ASSERT_TRUE(Bulk.addPeriodicContribution(H, Reps - 2));
   Walk(Bulk, Suffix);
 
   EXPECT_EQ(Bulk.totalAccesses(), Linear.totalAccesses());
-  EXPECT_EQ(Bulk.truncatedAtAssoc(), 0u); // Untruncated contribution.
+  EXPECT_EQ(Bulk.truncatedAtAssoc(), 16u); // Untruncated contribution.
   for (uint64_t Assoc = 1; Assoc <= 16; ++Assoc)
     EXPECT_EQ(Bulk.missesForAssoc(Assoc), Linear.missesForAssoc(Assoc))
         << "assoc " << Assoc;
@@ -106,10 +114,10 @@ TEST(StackDistance, PeriodCaptureAndBulkUpdateMatchLinearWalk) {
 TEST(StackDistance, OverflowingBulkUpdateIsRejectedAtomically) {
   // Adversarial repetition counts: any scaled accumulation that would
   // overflow uint64 must be rejected with the bank left bit-identical,
-  // so the caller can demote to walking the repetitions (the Colds>0
-  // path). Pre-fix this silently wrapped and produced garbage miss
-  // counts.
-  SetDistanceBank Bank(64, 1);
+  // so the caller can demote to walking the repetitions (the failed
+  // state-recurrence path). Pre-fix this silently wrapped and produced
+  // garbage miss counts.
+  SetDistanceBank Bank(64, 1, 8);
   for (BlockId B : {0, 1, 2, 0, 2, 1})
     Bank.accessBlock(B);
   DistanceHistogram Seed;
@@ -144,7 +152,7 @@ TEST(StackDistance, OverflowingBulkUpdateIsRejectedAtomically) {
   EXPECT_EQ(Bank.totalAccesses(), Total);
   EXPECT_EQ(Bank.missesForAssoc(1), M1);
   EXPECT_EQ(Bank.missesForAssoc(2), M2);
-  EXPECT_EQ(Bank.truncatedAtAssoc(), 0u);
+  EXPECT_EQ(Bank.truncatedAtAssoc(), 8u);
 
   // The rejected fragment still enters fine at a sane repetition count
   // and lands exactly where an untouched bank would put it.
@@ -155,19 +163,26 @@ TEST(StackDistance, OverflowingBulkUpdateIsRejectedAtomically) {
 }
 
 TEST(StackDistance, CaptureFlagsColdAccessesAsPeriodicityViolation) {
-  SetDistanceBank Bank(64, 1);
-  for (BlockId B : {0, 1, 2})
-    Bank.accessBlock(B);
-  Bank.beginPeriodCapture();
-  for (BlockId B : {1, 2, 7}) // 7 is new: not a repetition of anything.
-    Bank.accessBlock(B);
-  DistanceHistogram H = Bank.endPeriodCapture();
-  EXPECT_EQ(H.Colds, 1u);
-  EXPECT_EQ(H.Accesses, 3u);
+  // The bounded stack cannot tell a cold miss from a deep one, so the
+  // periodicity signal is the stack state: a capture that touches a new
+  // block cannot map the stacks onto themselves, at any depth.
+  for (unsigned Depth : {1u, 4u, 64u}) {
+    SetDistanceBank Bank(64, 1, Depth);
+    for (BlockId B : {0, 1, 2})
+      Bank.accessBlock(B);
+    ConcreteCache Before = Bank.stacks();
+    Bank.beginPeriodCapture();
+    for (BlockId B : {1, 2, 7}) // 7 is new: not a repetition of anything.
+      Bank.accessBlock(B);
+    DistanceHistogram H = Bank.endPeriodCapture();
+    EXPECT_FALSE(Bank.stacks().stateEquals(Before)) << "depth " << Depth;
+    EXPECT_GE(H.Beyond, 1u) << "the cold access misses the stack";
+    EXPECT_EQ(H.Accesses, 3u);
+  }
 }
 
 TEST(StackDistance, TruncatedContributionLimitsMatches) {
-  SetDistanceBank Bank(64, 1);
+  SetDistanceBank Bank(64, 1, 16);
   DistanceHistogram H;
   H.Hist = {4, 2};
   H.Beyond = 3;
@@ -240,6 +255,114 @@ TEST(StackDistance, MatchesConcreteAtSmallBlockSize) {
     ConcreteSimulator Sim(P, HierarchyConfig::singleLevel(C));
     EXPECT_EQ(Prof.missesForCache(C), Sim.run().Level[0].Misses) << Lines;
   }
+}
+
+//===----------------------------------------------------------------------===//
+// Bounded per-set banks
+//===----------------------------------------------------------------------===//
+
+/// Differential check of the bounded bank: at every associativity up to
+/// its depth it must equal an unbounded per-set Mattson reference (one
+/// StackDistanceProfiler per set) and concrete LRU simulation.
+TEST(SetDistanceBank, BoundedStacksMatchProfilersAndConcrete) {
+  std::mt19937 Rng(15015);
+  struct Geometry {
+    unsigned Sets, Depth;
+  };
+  std::vector<Geometry> Geoms;
+  for (unsigned Sets : {1u, 2u, 8u, 64u})
+    for (unsigned Depth : {1u, 4u, 8u, 16u})
+      Geoms.push_back(Geometry{Sets, Depth});
+  Geoms.push_back(Geometry{1, 512});
+  for (int Trial = 0; Trial < 4; ++Trial) {
+    ScopProgram P = generateProgram(Rng);
+    std::vector<BlockId> Trace;
+    generateTrace(P, TraceOptions(), [&](const TraceRecord &R) {
+      Trace.push_back(R.Addr >> 6);
+    });
+    // Concrete misses by (sets, ways), shared across depths.
+    std::map<std::pair<unsigned, unsigned>, uint64_t> Concrete;
+    auto concreteMisses = [&](unsigned Sets, unsigned Ways) {
+      auto Key = std::make_pair(Sets, Ways);
+      auto It = Concrete.find(Key);
+      if (It != Concrete.end())
+        return It->second;
+      CacheConfig C{static_cast<uint64_t>(Sets) * Ways * 64, Ways, 64,
+                    PolicyKind::Lru, WriteAllocate::Yes};
+      ConcreteSimulator Sim(P, HierarchyConfig::singleLevel(C));
+      SimStats S = Sim.run();
+      EXPECT_EQ(S.totalAccesses(), Trace.size());
+      return Concrete[Key] = S.Level[0].Misses;
+    };
+    for (const Geometry &G : Geoms) {
+      SetDistanceBank Bank = profileProgramSets(P, 64, G.Sets, G.Depth);
+      std::vector<StackDistanceProfiler> Ref(G.Sets,
+                                             StackDistanceProfiler(64));
+      for (BlockId B : Trace)
+        Ref[static_cast<uint64_t>(B) & (G.Sets - 1)].accessBlock(B);
+      ASSERT_EQ(Bank.totalAccesses(), Trace.size());
+      EXPECT_EQ(Bank.truncatedAtAssoc(), G.Depth);
+      for (unsigned A = 1; A <= G.Depth; ++A) {
+        uint64_t RefMisses = 0;
+        for (const StackDistanceProfiler &Prof : Ref)
+          RefMisses += Prof.missesForAssoc(A);
+        ASSERT_EQ(Bank.missesForAssoc(A), RefMisses)
+            << "trial " << Trial << " sets " << G.Sets << " depth "
+            << G.Depth << " assoc " << A << "\n"
+            << P.str();
+        ASSERT_EQ(Bank.missesForAssoc(A), concreteMisses(G.Sets, A))
+            << "trial " << Trial << " sets " << G.Sets << " assoc " << A;
+      }
+    }
+  }
+}
+
+/// The Release-mode guards: a bad geometry or a query deeper than the
+/// bank can answer throws instead of silently undercounting misses (an
+/// assert alone would vanish under NDEBUG).
+TEST(SetDistanceBank, RejectsBadGeometryAndTooDeepQueries) {
+  EXPECT_THROW(SetDistanceBank(64, 4, 0), std::invalid_argument);
+  EXPECT_THROW(SetDistanceBank(64, 3, 8), std::invalid_argument);
+  EXPECT_THROW(SetDistanceBank(64, 0, 8), std::invalid_argument);
+  EXPECT_THROW(SetDistanceBank(64, 1, 4097), std::invalid_argument);
+  EXPECT_THROW(SetDistanceBank(48, 4, 8), std::invalid_argument);
+
+  SetDistanceBank Bank(64, 2, 8);
+  for (BlockId B : {0, 1, 2, 3, 0, 2})
+    Bank.accessBlock(B);
+  EXPECT_NO_THROW(Bank.missesForAssoc(8));
+  EXPECT_THROW(Bank.missesForAssoc(9), std::invalid_argument);
+  CacheConfig Within{2 * 8 * 64, 8, 64, PolicyKind::Lru,
+                     WriteAllocate::Yes};
+  CacheConfig Deeper{2 * 16 * 64, 16, 64, PolicyKind::Lru,
+                     WriteAllocate::Yes};
+  CacheConfig OtherSets{4 * 8 * 64, 8, 64, PolicyKind::Lru,
+                        WriteAllocate::Yes};
+  CacheConfig Fifo = Within;
+  Fifo.Policy = PolicyKind::Fifo;
+  EXPECT_EQ(Bank.missesForCache(Within), Bank.missesForAssoc(8));
+  EXPECT_THROW(Bank.missesForCache(Deeper), std::invalid_argument);
+  EXPECT_THROW(Bank.missesForCache(OtherSets), std::invalid_argument);
+  EXPECT_THROW(Bank.missesForCache(Fifo), std::invalid_argument);
+
+  // A truncating bulk update narrows what the bank may answer.
+  DistanceHistogram H;
+  H.Hist = {1};
+  H.Accesses = 1;
+  ASSERT_TRUE(Bank.addPeriodicContribution(H, 1, /*TruncatedAtAssoc=*/4));
+  EXPECT_NO_THROW(Bank.missesForAssoc(4));
+  EXPECT_THROW(Bank.missesForAssoc(5), std::invalid_argument);
+}
+
+TEST(SetDistanceBank, PeriodicPassResultRejectsTooDeepQueries) {
+  PeriodicPassResult R;
+  R.MaxAssoc = 4;
+  R.Histogram.Hist = {3, 1};
+  R.Histogram.Beyond = 2;
+  R.Histogram.Accesses = 6;
+  EXPECT_EQ(R.missesForAssoc(1), 3u);
+  EXPECT_EQ(R.missesForAssoc(4), 2u);
+  EXPECT_THROW(R.missesForAssoc(5), std::invalid_argument);
 }
 
 } // namespace

@@ -186,7 +186,7 @@ TEST(Sweep, BankDegeneratesToFullyAssociativeProfiler) {
   std::mt19937 Rng(11);
   ScopProgram P = generateProgram(Rng);
   StackDistanceProfiler Prof = profileProgram(P, 64, false);
-  SetDistanceBank Bank = profileProgramSets(P, 64, 1, false);
+  SetDistanceBank Bank = profileProgramSets(P, 64, 1, 64, false);
   ASSERT_EQ(Bank.totalAccesses(), Prof.totalAccesses());
   for (uint64_t A : {1u, 2u, 8u, 64u})
     EXPECT_EQ(Bank.missesForAssoc(A), Prof.missesForAssoc(A)) << A;
