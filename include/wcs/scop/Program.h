@@ -25,6 +25,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -40,11 +41,12 @@ struct ArrayInfo {
 
   bool isScalar() const { return DimSizes.empty(); }
 
-  /// Total extent in bytes.
-  int64_t byteSize() const;
+  /// Total extent in bytes, or std::nullopt if it overflows int64_t.
+  std::optional<int64_t> byteSize() const;
 
-  /// Row-major element stride (in elements) of dimension \p Dim.
-  int64_t elemStride(unsigned Dim) const;
+  /// Row-major element stride (in elements) of dimension \p Dim, or
+  /// std::nullopt if it overflows int64_t.
+  std::optional<int64_t> elemStride(unsigned Dim) const;
 };
 
 enum class AccessKind { Read, Write };
@@ -171,7 +173,9 @@ private:
 /// Assigns base addresses to all arrays: each array is aligned to
 /// \p AlignBytes (default: page size, matching how allocators place large
 /// arrays); scalars are packed contiguously in a separate region.
-void assignLayout(ScopProgram &P, int64_t AlignBytes = 4096);
+/// Returns an error naming the first array whose extent or placement
+/// overflows 64-bit addresses, or "" on success.
+std::string assignLayout(ScopProgram &P, int64_t AlignBytes = 4096);
 
 } // namespace wcs
 

@@ -7,10 +7,13 @@
 ///
 /// \file
 /// Non-warping cache simulation of polyhedral programs (paper
-/// Algorithm 1): walk the SCoP tree, enumerate every iteration point in
-/// lexicographic order, and update a concrete cache hierarchy per access.
-/// This is both the baseline that warping is measured against (Fig. 6)
-/// and the golden model the warping simulator is validated against.
+/// Algorithm 1): the iteration-space walk shared with the warping
+/// simulator and the trace generator (scop/Walk.h) enumerates every
+/// access in execution order, and the simulator updates a concrete cache
+/// hierarchy per access, claiming batchable innermost loops for the
+/// batched hot loop (sim/LoopBatch.h). This is both the baseline that
+/// warping is measured against (Fig. 6) and the golden model the warping
+/// simulator is validated against.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -18,7 +21,7 @@
 #define WCS_SIM_CONCRETESIMULATOR_H
 
 #include "wcs/cache/CacheHierarchy.h"
-#include "wcs/scop/Program.h"
+#include "wcs/scop/Walk.h"
 #include "wcs/sim/LoopBatch.h"
 #include "wcs/sim/SimConfig.h"
 #include "wcs/sim/SimStats.h"
@@ -28,7 +31,7 @@
 namespace wcs {
 
 /// Non-warping simulator (paper Algorithm 1).
-class ConcreteSimulator {
+class ConcreteSimulator : private ScopWalker<ConcreteSimulator> {
 public:
   ConcreteSimulator(const ScopProgram &Program, const HierarchyConfig &Cache,
                     SimOptions Options = SimOptions());
@@ -47,11 +50,11 @@ public:
   void setMissTap(MissTap T) { MissTapFn = std::move(T); }
 
 private:
-  void simulateNode(const Node *N, IterVec &Iter);
-  void simulateLoop(const LoopNode *L, IterVec &Iter);
-  void simulateAccess(const AccessNode *A, const IterVec &Iter);
+  friend class ScopWalker<ConcreteSimulator>;
+  // Walk hooks (scop/Walk.h).
+  bool loop(const LoopNode *L, IterVec &Iter, int64_t Lo, int64_t Hi);
+  void access(const AccessNode *A, const IterVec &Iter);
 
-  const ScopProgram &Program;
   ConcreteHierarchy Cache;
   SimOptions Options;
   SimStats Stats;

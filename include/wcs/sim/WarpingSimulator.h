@@ -24,13 +24,17 @@
 /// ordinary-simulation cost: innermost loops that cannot probe take the
 /// batched hot loop (sim/LoopBatch), like the concrete simulator.
 ///
+/// The iteration points come from the walk shared with the concrete
+/// simulator (scop/Walk.h); the simulator claims the activations it
+/// batches or probes, and only the probing loop is its own code.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef WCS_SIM_WARPINGSIMULATOR_H
 #define WCS_SIM_WARPINGSIMULATOR_H
 
 #include "wcs/cache/CacheHierarchy.h"
-#include "wcs/scop/Program.h"
+#include "wcs/scop/Walk.h"
 #include "wcs/sim/LoopBatch.h"
 #include "wcs/sim/SimConfig.h"
 #include "wcs/sim/SimStats.h"
@@ -41,7 +45,7 @@
 namespace wcs {
 
 /// Warping symbolic simulator (paper Algorithm 2).
-class WarpingSimulator {
+class WarpingSimulator : private ScopWalker<WarpingSimulator> {
 public:
   WarpingSimulator(const ScopProgram &Program, const HierarchyConfig &Cache,
                    SimOptions Options = SimOptions());
@@ -62,7 +66,8 @@ public:
   /// rotations and block shifts a warp applies), so the window's
   /// histogram delta is scaled by the repetition count -- the
   /// trace-pass analogue of warping itself, and the engine behind
-  /// trace/PeriodicPass. Call before run().
+  /// trace/PeriodicPass. Call before run(). Throws
+  /// std::invalid_argument for any other configuration.
   void enableDepthProfile();
 
   /// Hit counts by L1 stack depth (size = L1 associativity); valid
@@ -72,9 +77,14 @@ public:
   ~WarpingSimulator();
 
 private:
-  void runNode(const Node *N, IterVec &Iter);
-  void runLoop(const LoopNode *L, IterVec &Iter);
-  void runAccess(const AccessNode *A, const IterVec &Iter);
+  friend class ScopWalker<WarpingSimulator>;
+  // Walk hooks (scop/Walk.h).
+  bool loop(const LoopNode *L, IterVec &Iter, int64_t Lo, int64_t Hi);
+  void access(const AccessNode *A, const IterVec &Iter);
+
+  /// Algorithm 2's probing loop over one activation of \p L.
+  void probeLoop(const LoopNode *L, IterVec &Iter, int64_t Lo, int64_t Hi,
+                 int64_t Unit);
 
   /// Per-nesting-depth activation scratch (hash map + snapshot storage),
   /// pooled across activations to avoid allocation churn in loops with
@@ -82,7 +92,6 @@ private:
   struct Activation;
   Activation &activationAtDepth(unsigned Depth);
 
-  const ScopProgram &Program;
   HierarchyConfig CacheCfg;
   SymbolicHierarchy Cache;
   WarpEngine Engine;

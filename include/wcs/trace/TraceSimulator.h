@@ -45,10 +45,11 @@ public:
   /// Feeds one record.
   void access(const TraceRecord &R);
 
-  /// Runs the full trace of \p Program through a chunked generator
-  /// (paying for trace materialization, like a real trace-driven
-  /// pipeline) and returns the counters. Timing covers generation plus
-  /// consumption.
+  /// Runs the full trace of \p Program and returns the counters. The
+  /// generated records fill a buffer of 1<<20 records that is drained
+  /// through access() whenever it is full, so the run pays for trace
+  /// materialization like a real trace-driven pipeline. Timing covers
+  /// generation plus consumption.
   TraceSimResult runOnProgram(const ScopProgram &Program);
 
   const TraceSimResult &result() const { return Result; }

@@ -258,6 +258,12 @@ SweepReport wcs::runSweep(const ScopProgram &Program,
         Periodic = Count >= Opts.WarpSweepMinAccesses;
       }
     }
+    // The banks the linear walk conditions: every bank on the linear
+    // flavor, whose pass cost then includes the counting pre-walk, or
+    // the banks the periodic passes left empty.
+    std::vector<SetDistanceBank *> Walk;
+    std::string Flavor = "linear";
+    telemetry::TimePoint WalkStart = P0;
     if (Periodic) {
       Rep.PeriodicPass = true;
       // The probe walk is pass cost too; count it so the attributed
@@ -291,40 +297,33 @@ SweepReport wcs::runSweep(const ScopProgram &Program,
       // counters would overflow). Either way the bank stays empty and
       // is conditioned by the linear pass below instead -- the same
       // accesses, walked not scaled, so its points stay exact.
-      std::vector<SetDistanceBank *> Demoted;
       for (size_t B = 0; B < Banks.size(); ++B) {
         if (PassFailed[B] || !PassResults[B].addTo(Banks[B]))
-          Demoted.push_back(&Banks[B]);
+          Walk.push_back(&Banks[B]);
         Rep.PeriodicPassSeconds += PassResults[B].Stats.Seconds;
         Rep.PeriodicWarps += PassResults[B].Stats.Warps;
         Rep.PeriodicWarpedAccesses +=
             PassResults[B].Stats.WarpedAccesses;
       }
       Rep.TraceAccesses = PassResults.front().Histogram.Accesses;
-      if (!Demoted.empty()) {
-        telemetry::Span WalkSpan("sweep.stack-distance-pass");
-        WalkSpan.arg("flavor", "demoted-linear");
-        WalkSpan.arg("banks", static_cast<uint64_t>(Demoted.size()));
-        telemetry::TimePoint L0 = telemetry::now();
-        uint64_t Walked =
-            generateTrace(Program, TO, [&](const TraceRecord &R) {
-              for (SetDistanceBank *B : Demoted)
-                B->accessAddr(R.Addr);
-            });
-        if (Rep.TraceAccesses == 0)
-          Rep.TraceAccesses = Walked;
-        Rep.TracePassSeconds += telemetry::secondsSince(L0);
-      }
+      Flavor = "demoted-linear";
+      WalkStart = telemetry::now();
     } else {
+      for (SetDistanceBank &B : Banks)
+        Walk.push_back(&B);
+    }
+    if (!Walk.empty()) {
       telemetry::Span WalkSpan("sweep.stack-distance-pass");
-      WalkSpan.arg("flavor", "linear");
-      WalkSpan.arg("banks", static_cast<uint64_t>(Banks.size()));
-      Rep.TraceAccesses =
+      WalkSpan.arg("flavor", Flavor);
+      WalkSpan.arg("banks", static_cast<uint64_t>(Walk.size()));
+      uint64_t Walked =
           generateTrace(Program, TO, [&](const TraceRecord &R) {
-            for (SetDistanceBank &B : Banks)
-              B.accessAddr(R.Addr);
+            for (SetDistanceBank *B : Walk)
+              B->accessAddr(R.Addr);
           });
-      Rep.TracePassSeconds = telemetry::secondsSince(P0);
+      if (Rep.TraceAccesses == 0)
+        Rep.TraceAccesses = Walked;
+      Rep.TracePassSeconds += telemetry::secondsSince(WalkStart);
     }
   }
 

@@ -7,21 +7,23 @@
 
 #include "wcs/scop/Program.h"
 
+#include "wcs/support/MathUtil.h"
+
 #include <cassert>
 
 using namespace wcs;
 
-int64_t ArrayInfo::byteSize() const {
-  int64_t N = 1;
-  for (int64_t D : DimSizes)
-    N *= D;
-  return N * ElemBytes;
+std::optional<int64_t> ArrayInfo::byteSize() const {
+  std::optional<int64_t> N = ElemBytes;
+  for (size_t I = 0; I < DimSizes.size() && N; ++I)
+    N = checkedMul(*N, DimSizes[I]);
+  return N;
 }
 
-int64_t ArrayInfo::elemStride(unsigned Dim) const {
+std::optional<int64_t> ArrayInfo::elemStride(unsigned Dim) const {
   assert(Dim < DimSizes.size() && "dimension out of range");
-  int64_t S = 1;
-  for (unsigned I = Dim + 1; I < DimSizes.size(); ++I)
-    S *= DimSizes[I];
+  std::optional<int64_t> S = 1;
+  for (unsigned I = Dim + 1; I < DimSizes.size() && S; ++I)
+    S = checkedMul(*S, DimSizes[I]);
   return S;
 }

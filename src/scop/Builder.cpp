@@ -119,8 +119,9 @@ void ScopBuilder::appendNode(std::unique_ptr<Node> N) {
 ScopProgram ScopBuilder::finish(std::string *Error, int64_t AlignBytes) {
   assert(OpenLoops.empty() && "finish with open loops");
   assert(OpenGuards == 0 && "finish with open guards");
-  assignLayout(P, AlignBytes);
-  std::string E = P.finalize();
+  std::string E = assignLayout(P, AlignBytes);
+  if (E.empty())
+    E = P.finalize();
   if (Error)
     *Error = E;
   return std::move(P);

@@ -24,9 +24,20 @@
 
 using namespace wcs;
 
-static int64_t alignUp(int64_t X, int64_t A) { return ceilDiv(X, A) * A; }
+/// X rounded up to a multiple of A, or std::nullopt on overflow.
+static std::optional<int64_t> alignUp(int64_t X, int64_t A) {
+  std::optional<int64_t> End = checkedAdd(X, A - 1);
+  if (!End)
+    return std::nullopt;
+  return floorDiv(*End, A) * A;
+}
 
-void wcs::assignLayout(ScopProgram &P, int64_t AlignBytes) {
+static std::string tooLarge(const ArrayInfo &A) {
+  return "array '" + A.Name +
+         "' is too large: its extent overflows 64-bit addresses";
+}
+
+std::string wcs::assignLayout(ScopProgram &P, int64_t AlignBytes) {
   assert(AlignBytes >= 64 && isPowerOf2(static_cast<uint64_t>(AlignBytes)) &&
          "alignment must be a power of two >= the cache block size");
   // Start away from address zero so that "block 0" is not special.
@@ -35,15 +46,26 @@ void wcs::assignLayout(ScopProgram &P, int64_t AlignBytes) {
   for (ArrayInfo &A : P.mutableArrays()) {
     if (A.isScalar())
       continue;
-    A.BaseAddr = alignUp(Next, AlignBytes);
-    Next = A.BaseAddr + A.byteSize();
+    std::optional<int64_t> Base = alignUp(Next, AlignBytes);
+    std::optional<int64_t> Size = A.byteSize();
+    std::optional<int64_t> End =
+        Base && Size ? checkedAdd(*Base, *Size) : std::nullopt;
+    if (!End)
+      return tooLarge(A);
+    A.BaseAddr = *Base;
+    Next = *End;
   }
   // Scalars packed together in one fresh region.
-  int64_t ScalarNext = alignUp(Next, AlignBytes);
+  std::optional<int64_t> ScalarNext = alignUp(Next, AlignBytes);
   for (ArrayInfo &A : P.mutableArrays()) {
     if (!A.isScalar())
       continue;
-    A.BaseAddr = ScalarNext;
-    ScalarNext += A.ElemBytes;
+    std::optional<int64_t> End =
+        ScalarNext ? checkedAdd(*ScalarNext, A.ElemBytes) : std::nullopt;
+    if (!End)
+      return tooLarge(A);
+    A.BaseAddr = *ScalarNext;
+    ScalarNext = End;
   }
+  return "";
 }

@@ -7,6 +7,8 @@
 
 #include "wcs/scop/Program.h"
 
+#include "wcs/support/MathUtil.h"
+
 #include <cassert>
 #include <sstream>
 
@@ -68,8 +70,15 @@ struct Finalizer {
     // Linearize: Address = Base + ElemBytes * sum_k Sub[k] * stride_k.
     AffineExpr Addr = AffineExpr::constant(Depth, Arr.BaseAddr);
     for (unsigned K = 0; K < A->Subscripts.size(); ++K) {
-      AffineExpr Sub = A->Subscripts[K].extendedTo(Depth);
-      Addr += Sub * (Arr.elemStride(K) * Arr.ElemBytes);
+      std::optional<int64_t> Stride = Arr.elemStride(K);
+      std::optional<int64_t> Bytes =
+          Stride ? checkedMul(*Stride, Arr.ElemBytes) : std::nullopt;
+      if (!Bytes) {
+        Error = "array '" + Arr.Name +
+                "' is too large: its extent overflows 64-bit addresses";
+        return;
+      }
+      Addr += A->Subscripts[K].extendedTo(Depth) * *Bytes;
     }
     A->Address = Addr;
     // Note: A->Guarded is set by the builder / frontend, which knows

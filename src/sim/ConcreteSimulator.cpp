@@ -10,7 +10,6 @@
 #include "wcs/support/MathUtil.h"
 #include "wcs/support/Telemetry.h"
 
-#include <cassert>
 #include <sstream>
 
 using namespace wcs;
@@ -28,62 +27,33 @@ std::string SimStats::str() const {
 ConcreteSimulator::ConcreteSimulator(const ScopProgram &Program,
                                      const HierarchyConfig &CacheCfg,
                                      SimOptions Options)
-    : Program(Program), Cache(CacheCfg), Options(Options),
-      BlockShift(log2Exact(CacheCfg.blockBytes())),
+    : ScopWalker(Program, Options.IncludeScalars), Cache(CacheCfg),
+      Options(Options), BlockShift(log2Exact(CacheCfg.blockBytes())),
       Batcher(Program, BlockShift, Options.IncludeScalars) {
   Stats.NumLevels = CacheCfg.numLevels();
 }
 
 SimStats ConcreteSimulator::run() {
   telemetry::TimePoint Start = telemetry::now();
-  IterVec Iter;
-  for (const std::unique_ptr<Node> &R : Program.roots())
-    simulateNode(R.get(), Iter);
+  walk();
   Stats.Seconds = telemetry::secondsSince(Start);
   return Stats;
 }
 
-void ConcreteSimulator::simulateNode(const Node *N, IterVec &Iter) {
-  if (const LoopNode *L = asLoop(N))
-    simulateLoop(L, Iter);
-  else
-    simulateAccess(asAccess(N), Iter);
+bool ConcreteSimulator::loop(const LoopNode *L, IterVec &Iter, int64_t Lo,
+                             int64_t Hi) {
+  if (!Options.BatchConcrete || !Batcher.batchable(L))
+    return false;
+  ConcreteHierarchy::BatchExtras X;
+  X.Sink = MissTapFn ? &MissTapFn : nullptr;
+  auto NoTag = [](const AccessNode *, const IterVec &) {
+    return ConcreteHierarchy::TagSource();
+  };
+  Stats.addBatch(Batcher.walk(Cache, L, Iter, Lo, Hi, NoTag, X));
+  return true;
 }
 
-void ConcreteSimulator::simulateLoop(const LoopNode *L, IterVec &Iter) {
-  std::optional<VarBounds> B = L->Domain.lastDimBounds(Iter);
-  assert(B && "loop domain must be bounded");
-  if (B->empty())
-    return;
-  if (Options.BatchConcrete && Batcher.batchable(L)) {
-    ConcreteHierarchy::BatchExtras X;
-    X.Sink = MissTapFn ? &MissTapFn : nullptr;
-    auto NoTag = [](const AccessNode *, const IterVec &) {
-      return ConcreteHierarchy::TagSource();
-    };
-    Stats.addBatch(Batcher.walk(Cache, L, Iter, B->Lo, B->Hi, NoTag, X));
-    return;
-  }
-  // Domains with several disjuncts may have holes inside the hull; test
-  // membership per iteration in that case (Algorithm 1 line 5).
-  bool NeedMembership = !L->Domain.isSingleDisjunct();
-  Iter.push(0);
-  for (int64_t X = B->Lo; X <= B->Hi; ++X) {
-    Iter.back() = X;
-    if (NeedMembership && !L->Domain.contains(Iter))
-      continue;
-    for (const std::unique_ptr<Node> &C : L->Children)
-      simulateNode(C.get(), Iter);
-  }
-  Iter.pop();
-}
-
-void ConcreteSimulator::simulateAccess(const AccessNode *A,
-                                       const IterVec &Iter) {
-  if (!Options.IncludeScalars && Program.array(A->ArrayId).isScalar())
-    return;
-  if (A->Guarded && !A->Domain.contains(Iter))
-    return;
+void ConcreteSimulator::access(const AccessNode *A, const IterVec &Iter) {
   BlockId B = A->Address.eval(Iter) >> BlockShift;
   HierarchyOutcome O = Cache.access(B, A->isWrite());
   if (MissTapFn && !O.L1Hit)

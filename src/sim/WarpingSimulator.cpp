@@ -10,7 +10,7 @@
 #include "wcs/support/MathUtil.h"
 #include "wcs/support/Telemetry.h"
 
-#include <cassert>
+#include <stdexcept>
 #include <unordered_map>
 
 using namespace wcs;
@@ -106,8 +106,8 @@ WarpingSimulator::activationAtDepth(unsigned Depth) {
 WarpingSimulator::WarpingSimulator(const ScopProgram &Program,
                                    const HierarchyConfig &CacheCfg,
                                    SimOptions Options)
-    : Program(Program), CacheCfg(CacheCfg), Cache(CacheCfg),
-      Engine(Program, CacheCfg, Options), Options(Options),
+    : ScopWalker(Program, Options.IncludeScalars), CacheCfg(CacheCfg),
+      Cache(CacheCfg), Engine(Program, CacheCfg, Options), Options(Options),
       BlockShift(log2Exact(CacheCfg.blockBytes())),
       LoopFailures(Program.loops().size(), 0),
       LoopDisabled(Program.loops().size(), 0),
@@ -123,59 +123,54 @@ WarpingSimulator::WarpingSimulator(const ScopProgram &Program,
 
 void WarpingSimulator::enableDepthProfile() {
   const CacheConfig &L1 = CacheCfg.Levels.front();
-  assert(CacheCfg.numLevels() == 1 && L1.Policy == PolicyKind::Lru &&
-         L1.WriteAlloc == WriteAllocate::Yes &&
-         "depth profiling needs single-level write-allocate LRU (hit "
-         "way == per-set stack distance)");
+  if (CacheCfg.numLevels() != 1 || L1.Policy != PolicyKind::Lru ||
+      L1.WriteAlloc != WriteAllocate::Yes)
+    throw std::invalid_argument(
+        "depth profiling needs a single-level write-allocate LRU cache (hit "
+        "way == per-set stack distance), not " + CacheCfg.str());
   DepthProfile = true;
   DepthHist.assign(L1.Assoc, 0);
 }
 
 SimStats WarpingSimulator::run() {
   telemetry::TimePoint Start = telemetry::now();
-  IterVec Iter;
-  for (const std::unique_ptr<Node> &R : Program.roots())
-    runNode(R.get(), Iter);
+  walk();
   Stats.Seconds = telemetry::secondsSince(Start);
   return Stats;
 }
 
-void WarpingSimulator::runNode(const Node *N, IterVec &Iter) {
-  if (const LoopNode *L = asLoop(N))
-    runLoop(L, Iter);
-  else
-    runAccess(asAccess(N), Iter);
-}
-
-void WarpingSimulator::runLoop(const LoopNode *L, IterVec &Iter) {
-  std::optional<VarBounds> B = L->Domain.lastDimBounds(Iter);
-  assert(B && "loop domain must be bounded");
-  if (B->empty())
-    return;
-  const WarpConfig &WC = Options.Warp;
-  bool NeedMembership = !L->Domain.isSingleDisjunct();
+bool WarpingSimulator::loop(const LoopNode *L, IterVec &Iter, int64_t Lo,
+                            int64_t Hi) {
   // Viable match distances are multiples of the loop's delta unit
   // (computed once per loop node); a zero unit means the loop can never
   // satisfy the warping conditions, so probing is skipped entirely.
   if (DeltaUnit[L->Id] == -1)
     DeltaUnit[L->Id] = Engine.deltaUnit(L);
   int64_t Unit = DeltaUnit[L->Id];
-  bool CanProbe = WC.Enable && !LoopDisabled[L->Id] && !NeedMembership &&
-                  L->EndAccess > L->FirstAccess && Unit > 0;
-  if (!CanProbe && Batcher.batchable(L)) {
-    SymbolicHierarchy::BatchExtras X;
-    X.DepthHist = DepthProfile ? DepthHist.data() : nullptr;
-    auto TagOf = [&](const AccessNode *A, const IterVec &It) {
-      return Engine.tagOf(A->Id, It);
-    };
-    Stats.addBatch(Batcher.walk(Cache, L, Iter, B->Lo, B->Hi, TagOf, X));
-    return;
+  if (Options.Warp.Enable && !LoopDisabled[L->Id] &&
+      L->Domain.isSingleDisjunct() && L->EndAccess > L->FirstAccess &&
+      Unit > 0) {
+    probeLoop(L, Iter, Lo, Hi, Unit);
+    return true;
   }
+  if (!Batcher.batchable(L))
+    return false;
+  SymbolicHierarchy::BatchExtras X;
+  X.DepthHist = DepthProfile ? DepthHist.data() : nullptr;
+  auto TagOf = [&](const AccessNode *A, const IterVec &It) {
+    return Engine.tagOf(A->Id, It);
+  };
+  Stats.addBatch(Batcher.walk(Cache, L, Iter, Lo, Hi, TagOf, X));
+  return true;
+}
 
+void WarpingSimulator::probeLoop(const LoopNode *L, IterVec &Iter, int64_t Lo,
+                                 int64_t Hi, int64_t Unit) {
+  const WarpConfig &WC = Options.Warp;
   WarpScope Scope;
   Scope.Loop = L;
   Scope.Prefix = Iter;
-  Scope.Hi = B->Hi;
+  Scope.Hi = Hi;
 
   // Paper Algorithm 2 line 4: a fresh map per activation; warping is only
   // attempted while the enclosing iterators are unchanged. The backing
@@ -183,18 +178,14 @@ void WarpingSimulator::runLoop(const LoopNode *L, IterVec &Iter) {
   Activation &Act = activationAtDepth(L->Depth);
   unsigned Probes = 0;
   bool WarpedAny = false;
-  bool EagerSnapshots = B->Hi - B->Lo + 1 <= WC.EagerSnapshotTripLimit;
+  bool EagerSnapshots = Hi - Lo + 1 <= WC.EagerSnapshotTripLimit;
   uint64_t GainBefore = Stats.WarpedAccesses;
 
   Iter.push(0);
-  int64_t X = B->Lo;
-  while (X <= B->Hi) {
+  int64_t X = Lo;
+  while (X <= Hi) {
     Iter.back() = X;
-    if (NeedMembership && !L->Domain.contains(Iter)) {
-      ++X;
-      continue; // Hole inside the hull of a disjunctive domain.
-    }
-    if (CanProbe && Probes < WC.MaxProbeIters) {
+    if (Probes < WC.MaxProbeIters) {
       ++Probes;
       uint64_t Key = Engine.stateKey(Cache, Scope);
       Bucket &Bk = Act.Map[Key];
@@ -261,39 +252,31 @@ void WarpingSimulator::runLoop(const LoopNode *L, IterVec &Iter) {
                         DepthProfile ? &DepthHist : nullptr));
       }
     }
-    for (const std::unique_ptr<Node> &C : L->Children)
-      runNode(C.get(), Iter);
+    body(L, Iter);
     ++X;
   }
   Iter.pop();
 
   // Learning: loops that probe a lot without ever warping stop probing.
-  if (CanProbe) {
-    if (WarpedAny)
-      LoopFailures[L->Id] = 0;
-    else if (Probes >= WC.MinProbesForLearning &&
-             ++LoopFailures[L->Id] >= WC.DisableAfterFailedActivations)
+  if (WarpedAny)
+    LoopFailures[L->Id] = 0;
+  else if (Probes >= WC.MinProbesForLearning &&
+           ++LoopFailures[L->Id] >= WC.DisableAfterFailedActivations)
+    LoopDisabled[L->Id] = 1;
+  // Profit guard: warping must pay for its probing and snapshot cost
+  // (in access-equivalents; a probe hashes the whole state, a snapshot
+  // copies it).
+  if (WC.EnableProfitGuard) {
+    ProbeCost[L->Id] += Probes * (TotalLines / 8 + 1) +
+                        Act.StoresThisActivation * TotalLines;
+    ProbeGain[L->Id] += Stats.WarpedAccesses - GainBefore;
+    if (++GuardedActivations[L->Id] >= WC.ProfitGuardActivations &&
+        ProbeGain[L->Id] < ProbeCost[L->Id])
       LoopDisabled[L->Id] = 1;
-    // Profit guard: warping must pay for its probing and snapshot cost
-    // (in access-equivalents; a probe hashes the whole state, a snapshot
-    // copies it).
-    if (WC.EnableProfitGuard) {
-      ProbeCost[L->Id] +=
-          Probes * (TotalLines / 8 + 1) +
-          Act.StoresThisActivation * TotalLines;
-      ProbeGain[L->Id] += Stats.WarpedAccesses - GainBefore;
-      if (++GuardedActivations[L->Id] >= WC.ProfitGuardActivations &&
-          ProbeGain[L->Id] < ProbeCost[L->Id])
-        LoopDisabled[L->Id] = 1;
-    }
   }
 }
 
-void WarpingSimulator::runAccess(const AccessNode *A, const IterVec &Iter) {
-  if (!Options.IncludeScalars && Program.array(A->ArrayId).isScalar())
-    return;
-  if (A->Guarded && !A->Domain.contains(Iter))
-    return;
+void WarpingSimulator::access(const AccessNode *A, const IterVec &Iter) {
   BlockId B = A->Address.eval(Iter) >> BlockShift;
   SymTag Tag = Engine.tagOf(A->Id, Iter);
   HierarchyOutcome O = Cache.access(B, A->isWrite(), Tag);

@@ -10,6 +10,7 @@
 #include "wcs/support/MathUtil.h"
 #include "wcs/support/Telemetry.h"
 
+#include <vector>
 
 using namespace wcs;
 
@@ -38,14 +39,20 @@ TraceSimResult TraceSimulator::runOnProgram(const ScopProgram &Program) {
   telemetry::TimePoint Start = telemetry::now();
   TraceOptions TO;
   TO.IncludeScalars = Options.IncludeScalars;
-  ChunkedTraceGenerator Gen(Program, TO);
-  for (;;) {
-    const std::vector<TraceRecord> &Chunk = Gen.nextChunk();
-    if (Chunk.empty())
-      break;
+  constexpr size_t ChunkRecords = 1 << 20;
+  std::vector<TraceRecord> Chunk;
+  Chunk.reserve(ChunkRecords);
+  auto Drain = [&] {
     for (const TraceRecord &R : Chunk)
       access(R);
-  }
+    Chunk.clear();
+  };
+  generateTrace(Program, TO, [&](const TraceRecord &R) {
+    Chunk.push_back(R);
+    if (Chunk.size() == ChunkRecords)
+      Drain();
+  });
+  Drain();
   Result.Stats.Seconds = telemetry::secondsSince(Start);
   return Result;
 }

@@ -265,4 +265,20 @@ TEST(Frontend, DivisionByConstantInAffineContext) {
             std::string::npos);
 }
 
+/// Arrays whose byte extent overflows 64-bit addresses are refused with
+/// an error that names them, whatever the subscripts do.
+TEST(Frontend, OversizedArrayIsRefused) {
+  for (const char *Body : {"A[i*4611686018427387903] = A[i];",
+                           "A[i] = A[i+1];"}) {
+    std::string Src = std::string("double A[4611686018427387904];\n"
+                                  "for (int i = 0; i < 4; i++)\n  ") +
+                      Body;
+    std::string E = parseErr(Src);
+    EXPECT_NE(E.find("'A'"), std::string::npos) << Body << ": " << E;
+    EXPECT_NE(E.find("too large"), std::string::npos) << Body << ": " << E;
+  }
+  // The extent check is exact: the same shape at a legal size parses.
+  parseOk("double A[1024]; for (int i = 0; i < 4; i++) A[i] = A[i+1];");
+}
+
 } // namespace

@@ -17,12 +17,14 @@
 #include "wcs/driver/Sweep.h"
 #include "wcs/scop/Builder.h"
 #include "wcs/sim/ConcreteSimulator.h"
+#include "wcs/sim/WarpingSimulator.h"
 #include "wcs/trace/PeriodicPass.h"
 #include "wcs/trace/StackDistance.h"
 
 #include <gtest/gtest.h>
 
 #include <random>
+#include <stdexcept>
 
 using namespace wcs;
 using testutil::generateProgram;
@@ -125,6 +127,26 @@ TEST(PeriodicPass, TruncatedBankAnswersOnlyWithinDepth) {
                      WriteAllocate::Yes};
   EXPECT_TRUE(Bank.matches(Within));
   EXPECT_FALSE(Bank.matches(Beyond));
+}
+
+/// Depth profiling is sound only where a hit's way is its per-set stack
+/// distance; every other configuration is refused, in Release too.
+TEST(PeriodicPass, DepthProfileRefusesOtherConfigs) {
+  ScopProgram P = periodicSweepProgram(/*Steps=*/2, /*Blocks=*/4);
+  CacheConfig Lru{1024, 4, 64, PolicyKind::Lru, WriteAllocate::Yes};
+  CacheConfig Fifo = Lru;
+  Fifo.Policy = PolicyKind::Fifo;
+  CacheConfig NoAlloc = Lru;
+  NoAlloc.WriteAlloc = WriteAllocate::No;
+  CacheConfig L2{8192, 8, 64, PolicyKind::Lru, WriteAllocate::Yes};
+  for (const HierarchyConfig &H : {HierarchyConfig::singleLevel(Fifo),
+                                   HierarchyConfig::singleLevel(NoAlloc),
+                                   HierarchyConfig::twoLevel(Lru, L2)}) {
+    WarpingSimulator Sim(P, H);
+    EXPECT_THROW(Sim.enableDepthProfile(), std::invalid_argument) << H.str();
+  }
+  WarpingSimulator Sim(P, HierarchyConfig::singleLevel(Lru));
+  EXPECT_NO_THROW(Sim.enableDepthProfile());
 }
 
 //===----------------------------------------------------------------------===//

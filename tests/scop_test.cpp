@@ -94,9 +94,10 @@ TEST(ScopLayout, ArraysAreDisjointAndAligned) {
     EXPECT_GE(Arrays[I].BaseAddr, 4096);
     EXPECT_EQ(Arrays[I].BaseAddr % 4096, 0) << "page alignment";
     for (size_t J = I + 1; J < Arrays.size(); ++J) {
+      int64_t EndI = Arrays[I].BaseAddr + Arrays[I].byteSize().value();
+      int64_t EndJ = Arrays[J].BaseAddr + Arrays[J].byteSize().value();
       bool Disjoint =
-          Arrays[I].BaseAddr + Arrays[I].byteSize() <= Arrays[J].BaseAddr ||
-          Arrays[J].BaseAddr + Arrays[J].byteSize() <= Arrays[I].BaseAddr;
+          EndI <= Arrays[J].BaseAddr || EndJ <= Arrays[I].BaseAddr;
       EXPECT_TRUE(Disjoint) << Arrays[I].Name << " overlaps "
                             << Arrays[J].Name;
     }

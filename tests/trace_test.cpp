@@ -6,7 +6,9 @@
 //===----------------------------------------------------------------------===//
 
 #include "wcs/frontend/Frontend.h"
+#include "wcs/scop/Builder.h"
 #include "wcs/sim/ConcreteSimulator.h"
+#include "wcs/sim/WarpingSimulator.h"
 #include "wcs/trace/StackDistance.h"
 #include "wcs/trace/TraceGenerator.h"
 #include "wcs/trace/TraceSimulator.h"
@@ -14,6 +16,7 @@
 #include <gtest/gtest.h>
 
 #include <random>
+#include <stdexcept>
 
 using namespace wcs;
 
@@ -33,33 +36,112 @@ ScopProgram smallKernel() {
   return std::move(R.Program);
 }
 
-TEST(TraceGenerator, StreamedAndChunkedAgree) {
-  ScopProgram P = smallKernel();
-  TraceOptions TO;
-  TO.IncludeScalars = true;
-  std::vector<TraceRecord> Streamed;
-  uint64_t N = generateTrace(
-      P, TO, [&](const TraceRecord &R) { Streamed.push_back(R); });
-  EXPECT_EQ(N, Streamed.size());
-  // 3 reads + 1 write for stmt 1; scalar read + B read + scalar write for
-  // stmt 2 => 7 per iteration, hmm: B[i]=A[i]+A[i-1] is 2 reads + 1
-  // write; s += B[i] is read s, read B[i], write s.
-  EXPECT_EQ(N, 3u * 299u * 6u);
+/// 1-D interval Lo <= i <= Hi.
+ConvexSet interval(int64_t Lo, int64_t Hi) {
+  AffineExpr I = AffineExpr::dim(1, 0);
+  ConvexSet S(1);
+  S.addConstraint(Constraint::ge(I - AffineExpr::constant(1, Lo)));
+  S.addConstraint(Constraint::ge(AffineExpr::constant(1, Hi) - I));
+  return S;
+}
 
-  ChunkedTraceGenerator Gen(P, TO, /*ChunkRecords=*/777);
-  std::vector<TraceRecord> Chunked;
-  for (;;) {
-    const std::vector<TraceRecord> &C = Gen.nextChunk();
-    if (C.empty())
-      break;
-    Chunked.insert(Chunked.end(), C.begin(), C.end());
+/// for i in {0..2} u {5..6}: read A[i]; if (1 <= i <= 5) write A[i+8];
+/// read s; write s. The holes i = 3, 4 lie inside the domain's hull.
+ScopProgram holedKernel() {
+  ScopBuilder B("holes");
+  unsigned A = B.addArray("A", 8, {16});
+  unsigned S = B.addScalar("s");
+  B.beginLoop("i", B.cst(0), B.cst(2));
+  B.read(A, {B.iter("i")});
+  B.beginGuard(Constraint::ge(B.iter("i") - B.cst(1)));
+  B.beginGuard(Constraint::ge(B.cst(5) - B.iter("i")));
+  B.write(A, {B.iter("i") + B.cst(8)});
+  B.endGuard();
+  B.endGuard();
+  B.read(S, {});
+  B.write(S, {});
+  B.endLoop();
+  std::string Err;
+  ScopProgram P = B.finish(&Err);
+  EXPECT_EQ(Err, "");
+  // The second disjunct, on the loop and on every access below it.
+  P.loops()[0]->Domain.addDisjunct(interval(5, 6));
+  for (AccessNode *Acc : P.accesses())
+    Acc->Domain.addDisjunct(interval(5, Acc->Guarded ? 5 : 6));
+  return P;
+}
+
+TEST(TraceGenerator, EnumerationOrderByHand) {
+  ScopProgram P = holedKernel();
+  // Layout: A at 4096 (one page in), scalars from the next page on.
+  ASSERT_EQ(P.array(0).BaseAddr, 4096);
+  ASSERT_EQ(P.array(1).BaseAddr, 8192);
+  auto A = [](int64_t I) { return 4096 + 8 * I; };
+  const int64_t S = 8192;
+  struct Rec {
+    int64_t Addr;
+    bool IsWrite;
+    bool Scalar;
+  };
+  const Rec SR{S, false, true}, SW{S, true, true};
+  const std::vector<Rec> Expected = {
+      // i = 0: the guard is off.
+      {A(0), false, false}, SR, SW,
+      // i = 1, 2: the guard is on.
+      {A(1), false, false}, {A(9), true, false}, SR, SW,
+      {A(2), false, false}, {A(10), true, false}, SR, SW,
+      // i = 3, 4 are holes; i = 5 is the guard's last point.
+      {A(5), false, false}, {A(13), true, false}, SR, SW,
+      // i = 6: the guard is off again.
+      {A(6), false, false}, SR, SW};
+
+  for (bool Scalars : {false, true}) {
+    SCOPED_TRACE(Scalars ? "with scalars" : "without scalars");
+    std::vector<Rec> Want;
+    for (const Rec &R : Expected)
+      if (Scalars || !R.Scalar)
+        Want.push_back(R);
+    TraceOptions TO;
+    TO.IncludeScalars = Scalars;
+    std::vector<TraceRecord> Got;
+    uint64_t N = generateTrace(
+        P, TO, [&](const TraceRecord &R) { Got.push_back(R); });
+    EXPECT_EQ(N, Want.size());
+    ASSERT_EQ(Got.size(), Want.size());
+    for (size_t I = 0; I < Want.size(); ++I) {
+      EXPECT_EQ(Got[I].Addr, Want[I].Addr) << I;
+      EXPECT_EQ(Got[I].Size, 8u) << I;
+      EXPECT_EQ(Got[I].IsWrite, Want[I].IsWrite) << I;
+    }
+
+    // Every simulator walks the same points.
+    HierarchyConfig H = HierarchyConfig::singleLevel(CacheConfig());
+    SimOptions SO;
+    SO.IncludeScalars = Scalars;
+    EXPECT_EQ(ConcreteSimulator(P, H, SO).run().totalAccesses(), Want.size());
+    SO.BatchConcrete = false;
+    EXPECT_EQ(ConcreteSimulator(P, H, SO).run().totalAccesses(), Want.size());
+    EXPECT_EQ(WarpingSimulator(P, H, SO).run().totalAccesses(), Want.size());
+    TraceSimOptions TSO;
+    TSO.IncludeScalars = Scalars;
+    EXPECT_EQ(TraceSimulator(H, TSO).runOnProgram(P).Stats.totalAccesses(),
+              Want.size());
   }
-  ASSERT_EQ(Chunked.size(), Streamed.size());
-  for (size_t I = 0; I < Streamed.size(); ++I) {
-    EXPECT_EQ(Chunked[I].Addr, Streamed[I].Addr) << I;
-    EXPECT_EQ(Chunked[I].IsWrite, Streamed[I].IsWrite) << I;
-    EXPECT_EQ(Chunked[I].Size, Streamed[I].Size) << I;
-  }
+}
+
+/// An unbounded loop domain is an error of the walk in every build, not
+/// an assertion: each walker refuses it.
+TEST(TraceGenerator, UnboundedLoopIsRefused) {
+  ScopProgram P = holedKernel();
+  P.loops()[0]->Domain = IntegerSet(interval(0, 2));
+  P.loops()[0]->Domain.addDisjunct(ConvexSet::universe(1));
+  HierarchyConfig H = HierarchyConfig::singleLevel(CacheConfig());
+  EXPECT_THROW(generateTrace(P, TraceOptions(), [](const TraceRecord &) {}),
+               std::invalid_argument);
+  EXPECT_THROW(ConcreteSimulator(P, H).run(), std::invalid_argument);
+  EXPECT_THROW(WarpingSimulator(P, H).run(), std::invalid_argument);
+  EXPECT_THROW(TraceSimulator(H, TraceSimOptions()).runOnProgram(P),
+               std::invalid_argument);
 }
 
 TEST(TraceGenerator, ScalarExclusionMatchesSimulatorAccounting) {
